@@ -1,18 +1,16 @@
-//! EXP-CONCURRENCY — queue depth against the single-mutex baseline.
+//! EXP-CONCURRENCY — queue depth against the one-at-a-time schedule.
 //!
-//! PR 7 made the command path re-entrant: `sero-server` workers share one
-//! [`ConcurrentFs`], whose combiner drains staged requests through the
-//! admission scheduler ([`sero_core::admission`]) instead of serializing
-//! every caller on a global file-system mutex. This experiment measures
-//! what that buys on the only axis a one-sled device has — **device
-//! time** — and proves it costs nothing on the axis that matters most,
-//! the tamper evidence.
+//! A [`ConcurrentFs`] window runs its requests through the admission
+//! scheduler ([`sero_core::admission`]) instead of executing them one at
+//! a time. This experiment measures what that buys on the only axis a
+//! one-sled device has — **device time** — and proves it costs nothing
+//! on the axis that matters most, the tamper evidence.
 //!
 //! * **Depth sweep** (the compared `"metrics"`): the same shuffled read
 //!   script replays against identical file systems at queue depths 1, 2,
 //!   4 and 8 ([`ConcurrentFs::handle_batch`] models `n` clients arriving
-//!   within one combining window). Depth 1 *is* the old global-mutex
-//!   schedule: one op per batch, nothing to merge. Deeper queues let the
+//!   within one window). Depth 1 *is* the one-at-a-time schedule: one
+//!   op per batch, nothing to merge. Deeper queues let the
 //!   admission scheduler coalesce reads into elevator sweeps; the sweep's
 //!   simulated device nanoseconds are the metric. `throughput_x8` — the
 //!   depth-1 over depth-8 device time — is asserted **≥ 2.5×**, the PR's
@@ -24,13 +22,10 @@
 //!   byte-identically, and finish with byte-identical line registries —
 //!   the "evidence ≡ serialized schedule" invariant, asserted here on
 //!   top of the `concurrency_props` proptests.
-//! * **Thread swarm** (the informational `"host"`): 8 real threads
-//!   hammering one `ConcurrentFs` versus the same workload behind a
-//!   plain `Mutex<SeroFs>` — wall-clock ops/s, never compared in CI.
 //!
 //! Emits `BENCH_concurrency.json` (schema `sero-bench/v1`, compared
-//! **blocking** in CI). `SERO_BENCH_FAST=1` shrinks only the host swarm —
-//! the deterministic phases are identical in both modes.
+//! **blocking** in CI). Every phase is deterministic, so `SERO_BENCH_FAST=1`
+//! changes nothing but the `fast_mode` flag.
 
 use sero_bench::json::Json;
 use sero_bench::{bench_out_path, device_clock_ns, fast_mode, row};
@@ -38,8 +33,6 @@ use sero_core::device::{LineRecord, SeroDevice};
 use sero_fs::concurrent::ConcurrentFs;
 use sero_fs::fs::{FsConfig, SeroFs};
 use sero_proto::{ErrorCode, Request, Response, WireClass, WireSchedState};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Small hot files: one data block each, so the depth sweep is dominated
 /// by head movement (the thing queue depth can actually save) rather
@@ -215,34 +208,8 @@ fn run_scrub_phase(
     (responses, verdicts, registry, ticks, elapsed)
 }
 
-/// Wall-clock ops/s for `threads` workers draining `ops_each` reads
-/// through `work`.
-fn swarm<F>(threads: usize, ops_each: usize, work: F) -> f64
-where
-    F: Fn(usize) + Send + Sync + 'static,
-{
-    let work = Arc::new(work);
-    let wall = Instant::now();
-    let workers: Vec<_> = (0..threads)
-        .map(|t| {
-            let work = Arc::clone(&work);
-            std::thread::spawn(move || {
-                let mut lcg = Lcg(0xBEEF ^ t as u64);
-                for _ in 0..ops_each {
-                    work((lcg.next() % HOT_FILES as u64) as usize);
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().expect("swarm worker");
-    }
-    (threads * ops_each) as f64 / wall.elapsed().as_secs_f64()
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fast = fast_mode();
-    let swarm_ops = if fast { 60 } else { 250 };
     println!(
         "EXP-CONCURRENCY: {HOT_FILES} hot files, {SWEEP_OPS}-op script, depths 1/2/4/8{}\n",
         if fast { " (fast mode)" } else { "" },
@@ -293,7 +260,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         device_ns[0] as f64 / device_ns[depths.iter().position(|&x| x == d).unwrap()] as f64
     };
     let (x2, x4, x8) = (ratio(2), ratio(4), ratio(8));
-    println!("\n  depth-8 throughput: {x8:.2}x the single-mutex schedule (bar: >= 2.5x)");
+    println!("\n  depth-8 throughput: {x8:.2}x the one-at-a-time schedule (bar: >= 2.5x)");
     assert!(
         x8 >= 2.5,
         "admission merging must clear the 2.5x acceptance bar, got {x8:.2}x"
@@ -326,29 +293,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scrub1_ns as f64 / 1e6,
     );
 
-    // --- host thread swarm ------------------------------------------------
-    let concurrent = build_fs();
-    let concurrent_ops_s = swarm(8, swarm_ops, move |i| {
-        assert!(matches!(
-            concurrent.handle(Request::Read { name: hot_name(i) }),
-            Response::Data { .. }
-        ));
-    });
-    let mutexed = Arc::new(Mutex::new(
-        build_fs().try_into_fs().ok().expect("sole owner"),
-    ));
-    let mutexed_ops_s = swarm(8, swarm_ops, move |i| {
-        let mut fs = mutexed.lock().expect("unpoisoned");
-        assert!(matches!(
-            fs.handle(Request::Read { name: hot_name(i) }),
-            Response::Data { .. }
-        ));
-    });
-    println!(
-        "  host swarm (8 threads): {concurrent_ops_s:.0} ops/s combined vs \
-         {mutexed_ops_s:.0} ops/s mutexed (wall clock, informational)"
-    );
-
     let doc = Json::obj()
         .set("schema", "sero-bench/v1")
         .set("bench", "concurrency")
@@ -362,8 +306,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("archive_files", ARCHIVE_FILES)
                 .set("archive_bytes", ARCHIVE_BYTES)
                 .set("sweep_ops", SWEEP_OPS)
-                .set("scrub_budget_ns", SCRUB_BUDGET_NS)
-                .set("swarm_ops_per_thread", swarm_ops),
+                .set("scrub_budget_ns", SCRUB_BUDGET_NS),
         )
         .set(
             "metrics",
@@ -384,13 +327,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("lines_verified", ARCHIVE_FILES)
                 .set("tampered", 1u64)
                 .set("evidence_identical", 1u64),
-        )
-        .set(
-            "host",
-            Json::obj()
-                .set("concurrent_ops_per_s", concurrent_ops_s)
-                .set("mutexed_ops_per_s", mutexed_ops_s)
-                .set("swarm_speedup", concurrent_ops_s / mutexed_ops_s),
         );
     let path = bench_out_path("concurrency");
     std::fs::write(&path, doc.render())?;

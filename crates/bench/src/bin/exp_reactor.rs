@@ -3,9 +3,9 @@
 //! PR 9 replaced the blocking thread-per-connection daemon with a
 //! readiness-driven reactor: every request readable in one event-loop
 //! sweep dispatches as a *single* [`ConcurrentFs::handle_batch`]
-//! combining window, so n concurrent clients form the depth-n admission
-//! batches the flat combiner wants. This experiment measures whether the
-//! wire actually delivers the depth curve PR 7 proved in-process:
+//! window, so n concurrent clients form depth-n admission batches. This
+//! experiment measures whether the wire actually delivers the depth
+//! curve PR 7 proved in-process:
 //!
 //! * **Framed ready-set sweep** (the compared `"metrics"`): the same
 //!   shuffled read script replays at ready-set sizes 1/2/4/8/16 — each
@@ -18,10 +18,11 @@
 //! * **Framed tamper drill** (also `"metrics"`): a heated line is
 //!   tampered through the raw probe; the framed `verify` must answer
 //!   `TAMPER-DETECTED` — the detection guarantee survives reassembly.
-//! * **Byte-identity across daemons**: the identical command script —
-//!   including a raw-write tamper and its verify — runs over real
-//!   sockets against a pool-mode daemon and a reactor daemon; every
-//!   response payload must match byte-for-byte (`responses_identical`).
+//! * **Byte-identity with the in-process door**: the identical command
+//!   script — including a raw-write tamper and its verify — runs over a
+//!   real socket against the reactor daemon and in-process through
+//!   `SeroFs::handle`; every response payload must match byte-for-byte
+//!   (`responses_identical`).
 //! * **Reactor swarm** (the informational `"host"`): real `sero-client`
 //!   swarms of 1/2/4/8/16 closed-loop connections against a reactor
 //!   daemon, plus an idle-connection axis (0/128/256 silent sockets held
@@ -48,7 +49,7 @@ use sero_fs::concurrent::ConcurrentFs;
 use sero_fs::fs::{FsConfig, SeroFs};
 use sero_proto::frame::{encode_request, read_frame, write_frame, FrameAssembler, FrameKind};
 use sero_proto::{ErrorCode, Request, Response, WireClass};
-use sero_server::{SeroServer, ServerConfig, ServerMode};
+use sero_server::{SeroServer, ServerConfig};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -94,7 +95,7 @@ fn archive_name(i: usize) -> String {
     format!("arch-{i:02}")
 }
 
-/// The benchmark population, identical for every phase and both daemons.
+/// The benchmark population, identical for every phase.
 fn build_fs() -> ConcurrentFs {
     let fs = SeroFs::format(SeroDevice::with_blocks(DEVICE_BLOCKS), FsConfig::default())
         .expect("format succeeds");
@@ -131,7 +132,7 @@ fn read_script(ops: usize) -> Vec<Request> {
 /// Replays `script` at one ready-set size through the reactor's receive
 /// path: each window's frames are concatenated (the bytes `depth`
 /// readable sockets hold), fed to the assembler in deterministically
-/// varied chunk sizes, decoded, and dispatched as one combining window.
+/// varied chunk sizes, decoded, and dispatched as one batch window.
 /// Returns (device ns, responses, frames reassembled, chunks fed).
 fn run_ready_set(depth: usize, script: &[Request]) -> (u128, Vec<Response>, u64, u64) {
     let cfs = build_fs();
@@ -203,15 +204,13 @@ fn run_framed_tamper() -> u64 {
     }
 }
 
-/// Runs the identical command script — creates, reads, a heat, a raw
-/// tamper, its verify, and status queries — over a real socket against a
-/// daemon in `mode`. Returns every response payload, byte-for-byte.
-fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
+/// Runs the wire script over a real socket against a reactor daemon.
+/// Returns every response payload, byte-for-byte.
+fn run_wire_script_served() -> Vec<Vec<u8>> {
     let server = SeroServer::bind_shared(
         "127.0.0.1:0",
         build_fs(),
         ServerConfig {
-            mode,
             allow_raw: true,
             ..ServerConfig::default()
         },
@@ -221,13 +220,26 @@ fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
     let mut conn = TcpStream::connect(handle.addr()).expect("connect");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("deadline");
-
-    let mut call = |req: &Request| -> Vec<u8> {
+    let outs = wire_script(|req| {
         write_frame(&mut conn, FrameKind::Request, &req.encode()).expect("send");
         let (_, payload) = read_frame(&mut conn).expect("recv").expect("response");
         payload
-    };
+    });
+    drop(conn);
+    handle.shutdown();
+    outs
+}
 
+/// Runs the wire script in-process through [`SeroFs::handle`] on the same
+/// population, encoding each response as the daemon would send it.
+fn run_wire_script_in_process() -> Vec<Vec<u8>> {
+    build_fs().with_fs(|fs| wire_script(|req| fs.handle(req.clone()).encode()))
+}
+
+/// The identical command script — reads, a heat, a raw tamper, its
+/// verify, and status queries — issued through `call`, which returns each
+/// encoded response payload.
+fn wire_script(mut call: impl FnMut(&Request) -> Vec<u8>) -> Vec<Vec<u8>> {
     let mut outs = Vec::new();
     for i in 0..ARCHIVE_FILES {
         outs.push(call(&Request::Read {
@@ -264,8 +276,6 @@ fn run_wire_script(mode: ServerMode) -> Vec<Vec<u8>> {
     }));
     outs.push(call(&Request::list_all()));
     outs.push(call(&Request::FleetStatus));
-    drop(conn);
-    handle.shutdown();
     outs
 }
 
@@ -299,7 +309,6 @@ fn run_swarm(clients: usize, ops_per_client: usize, idle: usize) -> Swarm {
         "127.0.0.1:0",
         cfs,
         ServerConfig {
-            mode: ServerMode::Reactor,
             max_connections: 2048,
             ..ServerConfig::default()
         },
@@ -443,17 +452,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tampered = run_framed_tamper();
     println!("  framed tamper drill: evidence found ({tampered} line)");
 
-    // --- byte-identity across daemons -------------------------------------
-    let pool_outs = run_wire_script(ServerMode::Pool);
-    let reactor_outs = run_wire_script(ServerMode::Reactor);
+    // --- byte-identity with the in-process door ---------------------------
+    let in_process_outs = run_wire_script_in_process();
+    let reactor_outs = run_wire_script_served();
     assert_eq!(
-        pool_outs, reactor_outs,
-        "reactor responses must be byte-identical to the blocking daemon"
+        in_process_outs, reactor_outs,
+        "reactor responses must be byte-identical to in-process SeroFs::handle"
     );
     let wire_script_commands = reactor_outs.len() as u64;
     println!(
-        "  wire script: {wire_script_commands} commands byte-identical across pool and reactor \
-         daemons (tamper evidence included)\n"
+        "  wire script: {wire_script_commands} commands byte-identical between the reactor \
+         and in-process SeroFs::handle (tamper evidence included)\n"
     );
 
     // --- reactor swarms (host) --------------------------------------------

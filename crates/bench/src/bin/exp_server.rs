@@ -1,41 +1,28 @@
 //! EXP-SERVER — the command path and the wire, measured.
 //!
-//! PR 6 put one door on the stack: every deployment drives
-//! [`sero_fs::fs::SeroFs::handle`] with a [`sero_proto::Request`], and
-//! `sero-server` serves that door over TCP frames. This experiment
-//! measures both halves:
-//!
-//! * **Deterministic replay** (the compared `"metrics"`): a fixed command
-//!   script — creates, a read/write mix, heating, verification, and a
-//!   budgeted scrub driven tick-by-tick — is encoded to wire frames,
-//!   decoded back, and handled, exactly the round trip a served request
-//!   takes minus the socket. Everything here derives from the simulated
-//!   device clock and fixed payload sizes, so the numbers reproduce
-//!   byte-for-byte on any host: wire bytes per command, frame overhead,
-//!   device milliseconds, scrub slice counts.
-//! * **Client swarm** (the informational `"host"`): a real `sero-server`
-//!   on loopback with its shared-queue pool, hammered by 1–8 concurrent
-//!   `sero-client` connections. Wall-clock per-op latency tails and
-//!   throughput land under `"host"`, which `bench_compare` never reads —
-//!   real sockets do not reproduce across machines.
+//! Every deployment drives [`sero_fs::fs::SeroFs::handle`] with a
+//! [`sero_proto::Request`], and `sero-server` serves that door over TCP
+//! frames. This experiment measures the command path and the wire codec:
+//! a fixed command script — creates, a read/write mix, heating,
+//! verification, and a budgeted scrub driven tick-by-tick — is encoded
+//! to wire frames, decoded back, and handled, exactly the round trip a
+//! served request takes minus the socket. Everything in the compared
+//! `"metrics"` derives from the simulated device clock and fixed payload
+//! sizes, so the numbers reproduce byte-for-byte on any host: wire bytes
+//! per command, frame overhead, device milliseconds, scrub slice counts.
+//! The replay's host wall time lands under `"host"`. Real sockets and
+//! client swarms against the reactor are `exp_reactor`'s job.
 //!
 //! Emits `BENCH_server.json` (schema `sero-bench/v1`, compared
-//! **blocking** in CI) and `server_trace.json` (per-swarm latency tails;
-//! uploaded as a CI artifact, never compared). `SERO_BENCH_FAST=1`
-//! shrinks only the swarm — the deterministic replay is identical in both
-//! modes.
+//! **blocking** in CI). The replay is identical with or without
+//! `SERO_BENCH_FAST=1`.
 
 use sero_bench::json::Json;
-use sero_bench::{
-    bench_out_path, device_clock_ns, fast_mode, ns_to_us as us, percentile_ns as percentile, row,
-    trace_out_path,
-};
-use sero_client::SeroClient;
+use sero_bench::{bench_out_path, device_clock_ns, fast_mode};
 use sero_core::device::SeroDevice;
 use sero_fs::fs::{FsConfig, SeroFs};
 use sero_proto::frame::{decode_frame, encode_request, encode_response};
 use sero_proto::{Request, Response, WireClass, WireSchedState};
-use sero_server::{SeroServer, ServerConfig};
 use std::time::Instant;
 
 /// Archival files frozen (and later verified) by the replay script.
@@ -175,70 +162,12 @@ fn run_replay() -> (Replay, u64, u64) {
     (replay, ticks, throttled)
 }
 
-/// One client's share of the swarm: create its own file, then an
-/// alternating read/ping loop, each op timed individually.
-fn swarm_client(addr: std::net::SocketAddr, id: usize, ops: usize) -> Vec<u128> {
-    let mut client = SeroClient::connect(addr).expect("connect");
-    let name = format!("swarm-{id:02}");
-    client
-        .create(&name, &vec![id as u8 + 1; 700], WireClass::Normal)
-        .expect("create");
-    let mut latencies = Vec::with_capacity(ops);
-    for i in 0..ops {
-        let t = Instant::now();
-        if i % 2 == 0 {
-            client.read(&name).expect("read");
-        } else {
-            client.ping().expect("ping");
-        }
-        latencies.push(t.elapsed().as_nanos());
-    }
-    latencies
-}
-
-struct SwarmResult {
-    clients: usize,
-    latencies: Vec<u128>,
-    wall_ms: f64,
-}
-
-/// Runs one swarm of `clients` concurrent connections against a fresh
-/// daemon.
-fn run_swarm(clients: usize, ops_per_client: usize) -> SwarmResult {
-    let fs = SeroFs::format(SeroDevice::with_blocks(4096), FsConfig::default())
-        .expect("format succeeds");
-    let server = SeroServer::bind("127.0.0.1:0", fs, ServerConfig::default()).expect("bind");
-    let handle = server.spawn().expect("spawn");
-    let addr = handle.addr();
-
-    let wall = Instant::now();
-    let workers: Vec<_> = (0..clients)
-        .map(|c| std::thread::spawn(move || swarm_client(addr, c, ops_per_client)))
-        .collect();
-    let latencies: Vec<u128> = workers
-        .into_iter()
-        .flat_map(|w| w.join().expect("client thread"))
-        .collect();
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    handle.shutdown();
-    SwarmResult {
-        clients,
-        latencies,
-        wall_ms,
-    }
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fast = fast_mode();
-    let swarm_sizes: &[usize] = if fast { &[2, 8] } else { &[1, 2, 4, 8] };
-    let ops_per_client = if fast { 40 } else { 120 };
-
     println!(
-        "EXP-SERVER: replay {} archival + {} hot files, swarms {:?} x {} ops{}\n",
+        "EXP-SERVER: replay {} archival + {} hot files{}\n",
         ARCHIVAL_FILES,
         HOT_FILES,
-        swarm_sizes,
-        ops_per_client,
         if fast { " (fast mode)" } else { "" },
     );
 
@@ -264,39 +193,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  scrub over the wire: {scrub_ticks} ticks ({scrub_throttled} throttled), \
-         {ARCHIVAL_FILES} lines verified\n"
+         {ARCHIVAL_FILES} lines verified"
     );
-
-    // --- client swarms ----------------------------------------------------
-    let swarms: Vec<SwarmResult> = swarm_sizes
-        .iter()
-        .map(|&n| run_swarm(n, ops_per_client))
-        .collect();
-
-    let widths = [10, 8, 12, 12, 12, 12];
-    println!(
-        "{}",
-        row(&["clients", "ops", "p50", "p99", "max", "ops/s"], &widths)
-    );
-    for s in &swarms {
-        let p50 = percentile(&s.latencies, 0.50);
-        let p99 = percentile(&s.latencies, 0.99);
-        let max = *s.latencies.iter().max().expect("ops");
-        println!(
-            "{}",
-            row(
-                &[
-                    &format!("{}", s.clients),
-                    &format!("{}", s.latencies.len()),
-                    &format!("{:.0} us", us(p50)),
-                    &format!("{:.0} us", us(p99)),
-                    &format!("{:.0} us", us(max)),
-                    &format!("{:.0}", s.latencies.len() as f64 / (s.wall_ms / 1e3)),
-                ],
-                &widths
-            )
-        );
-    }
 
     let doc = Json::obj()
         .set("schema", "sero-bench/v1")
@@ -311,8 +209,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("hot_files", HOT_FILES)
                 .set("mixed_ops", MIXED_OPS)
                 .set("scrub_budget_ns", SCRUB_BUDGET_NS)
-                .set("scrub_quantum_ns", SCRUB_QUANTUM_NS)
-                .set("ops_per_client", ops_per_client),
+                .set("scrub_quantum_ns", SCRUB_QUANTUM_NS),
         )
         .set(
             "metrics",
@@ -330,46 +227,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .set("lines_verified", ARCHIVAL_FILES)
                 .set("errors", replay.errors),
         )
-        .set("host", {
-            let mut host = Json::obj().set("replay_ms", replay_host_ms);
-            for s in &swarms {
-                host = host.set(
-                    &format!("swarm_{}", s.clients),
-                    Json::obj()
-                        .set("ops", s.latencies.len())
-                        .set("p50_us", us(percentile(&s.latencies, 0.50)))
-                        .set("p99_us", us(percentile(&s.latencies, 0.99)))
-                        .set("wall_ms", s.wall_ms),
-                );
-            }
-            host
-        });
+        .set("host", Json::obj().set("replay_ms", replay_host_ms));
     let path = bench_out_path("server");
     std::fs::write(&path, doc.render())?;
     println!("\n  wrote {}", path.display());
-
-    // Latency tails per swarm — a CI artifact for humans, never compared.
-    let entries: Vec<Json> = swarms
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .set("clients", s.clients)
-                .set("ops", s.latencies.len())
-                .set("p50_us", us(percentile(&s.latencies, 0.50)))
-                .set("p90_us", us(percentile(&s.latencies, 0.90)))
-                .set("p99_us", us(percentile(&s.latencies, 0.99)))
-                .set("max_us", us(*s.latencies.iter().max().expect("ops")))
-                .set("wall_ms", s.wall_ms)
-                .set("ops_per_s", s.latencies.len() as f64 / (s.wall_ms / 1e3))
-        })
-        .collect();
-    let trace = Json::obj()
-        .set("schema", "sero-bench-trace/v1")
-        .set("bench", "server")
-        .set("swarms", Json::Arr(entries));
-    let trace_path = trace_out_path("server_trace.json");
-    std::fs::write(&trace_path, trace.render())?;
-    println!("  wrote {}", trace_path.display());
 
     Ok(())
 }

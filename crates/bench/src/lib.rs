@@ -122,15 +122,14 @@
 //!   14-byte frame header+CRC each way), `replay_device_ms` and
 //!   `commands_per_device_s` (simulated device clock), `scrub_ticks` /
 //!   `scrub_throttled`, `lines_verified`, `errors` (0 by construction,
-//!   asserted). The real-socket client swarm against a live
-//!   `sero-server` reports under `"host"` only (`swarm_<n>` latency
-//!   tails) — wall clock never gates CI.
-//! * `bench = "reactor"` — the PR 9 readiness-driven wire server
+//!   asserted). `"host"` holds only the replay's wall time (`replay_ms`);
+//!   real-socket swarms are `exp_reactor`'s.
+//! * `bench = "reactor"` — the readiness-driven wire server
 //!   (`exp_reactor`): the `exp_concurrency` read script replayed at
 //!   ready-set sizes 1/2/4/8/16, each window encoded to wire frames, fed
 //!   through [`sero_proto::frame::FrameAssembler`] in deterministically
 //!   varied chunk sizes, and dispatched as a single
-//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`] combining
+//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`]
 //!   window: `ready_{1,2,4,8,16}_device_ms`, `throughput_x{2,4,8,16}`
 //!   (`throughput_x8` carries the ≥ 2.5× acceptance bar, asserted),
 //!   `sim_depth8_ops_per_device_s` (the simulated admission curve the
@@ -138,23 +137,24 @@
 //!   (chunked-delivery work proof), `wire_script_commands` and
 //!   `responses_identical` (1 iff an identical command script —
 //!   including a raw-write tamper and the verify that detects it —
-//!   answers byte-for-byte the same over real sockets against a
-//!   pool-mode daemon and a reactor daemon, asserted), `tampered` (the
+//!   answers byte-for-byte the same over a real socket against the
+//!   reactor daemon as in-process through
+//!   [`sero_fs::fs::SeroFs::handle`], asserted), `tampered` (the
 //!   framed tamper drill's evidence, asserted). Real reactor swarms at
 //!   1/2/4/8/16 clients plus an idle-connection axis (0/128/256 silent
 //!   sockets held open alongside 8 active clients) report under
 //!   `"host"` only — but the binary itself **asserts**
 //!   `host.tracking.ratio ≥ 0.8` (the 8-client swarm's ops per
 //!   *device*-second against `sim_depth8_ops_per_device_s`), so a
-//!   reactor that stops forming deep combining windows fails the
+//!   reactor that stops forming deep batch windows fails the
 //!   regeneration run even though the compare step never reads
 //!   `"host"`. The `reactor_trace.json` latency tails are uploaded for
 //!   humans and never compared.
-//! * `bench = "concurrency"` — the PR 7 concurrent foreground core
+//! * `bench = "concurrency"` — the concurrent foreground core
 //!   (`exp_concurrency`): one shuffled read script replayed against
 //!   identical file systems at queue depths 1/2/4/8 through
 //!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`], where depth 1
-//!   *is* the old global-mutex schedule and deeper queues let
+//!   *is* the one-at-a-time schedule and deeper queues let
 //!   [`sero_core::admission`] coalesce reads into elevator sweeps:
 //!   `depth_{1,2,4,8}_device_ms`, `throughput_x2` / `throughput_x4` /
 //!   `throughput_x8` (depth-1 device time over depth-N; `throughput_x8`
@@ -166,9 +166,8 @@
 //!   `scrub_ticks_depth8` / `scrub_ticks_serial`, `lines_verified`,
 //!   `tampered` (exactly the planted line, asserted) and
 //!   `evidence_identical` (1 iff responses, verdicts, and the sorted
-//!   line registry are byte-identical across schedules, asserted). The
-//!   8-thread swarm against a real `ConcurrentFs` vs a
-//!   `Mutex<SeroFs>` reports under `"host"` only.
+//!   line registry are byte-identical across schedules, asserted). It
+//!   writes no `"host"` block: every phase is deterministic.
 //! * `bench = "faults"` — bounded degradation under a calibrated
 //!   transient-fault rate (`exp_faults`): two clones of one populated
 //!   file system replay identical mixed traffic, one with a seeded

@@ -6,7 +6,7 @@
 //! one request is in flight, others arrive, and a scheduler that sees the
 //! whole queue can serve it in far less device time than first-come
 //! first-served. This module supplies that machinery to `sero-fs`'s
-//! combiner (and anything else driving a [`SeroDevice`]):
+//! batch window (and anything else driving a [`SeroDevice`]):
 //!
 //! * [`RegionMap`] — divides the medium into fixed-span regions, one
 //!   staging queue per region (held inside [`AdmissionQueues`]).
@@ -36,9 +36,11 @@
 //! error *and* their flag-the-line side effect land exactly as the serial
 //! schedule would have landed them. If a merged operation fails mid-sweep
 //! the group falls back to per-op execution — magnetic rewrites are
-//! idempotent, so the fallback converges on the serial outcome. The
-//! `admission_props` proptests pin all of this: arbitrary op mixes,
-//! results and tamper evidence byte-identical to the serial schedule.
+//! idempotent, so the fallback converges on the serial outcome. This
+//! module's unit tests pin each merge against a one-at-a-time oracle,
+//! and the `concurrency_props` proptests drive arbitrary read, write,
+//! verify and scrub scripts through `sero-fs`'s batch window: responses
+//! and tamper evidence byte-identical to the serialized schedule.
 //!
 //! # Examples
 //!
@@ -500,33 +502,32 @@ fn write_one(dev: &mut SeroDevice, pbas: &[u64], data: &[[u8; SECTOR_DATA_BYTES]
     }
 }
 
-/// Executes `ops` strictly one at a time in order — the reference
-/// serialized schedule the admission path is proven equivalent to (and
-/// benchmarked against).
-pub fn execute_serial(dev: &mut SeroDevice, ops: &[FgOp]) -> Vec<FgResult> {
-    ops.iter()
-        .map(|op| match op.clone() {
-            FgOp::Read { pbas } => read_one(dev, &pbas),
-            FgOp::Write { pbas, data } => write_one(dev, &pbas, &data),
-            FgOp::Verify { line } => match dev.verify_line(line) {
-                Ok(outcome) => FgResult::Verified(outcome),
-                Err(e) => FgResult::Failed(e),
-            },
-            FgOp::Heat {
-                line,
-                metadata,
-                timestamp,
-            } => match dev.heat_line(line, metadata, timestamp) {
-                Ok(payload) => FgResult::Heated(payload),
-                Err(e) => FgResult::Failed(e),
-            },
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Executes `ops` strictly one at a time in order — the reference
+    /// serialized schedule the admission path is proven equivalent to.
+    fn execute_serial(dev: &mut SeroDevice, ops: &[FgOp]) -> Vec<FgResult> {
+        ops.iter()
+            .map(|op| match op.clone() {
+                FgOp::Read { pbas } => read_one(dev, &pbas),
+                FgOp::Write { pbas, data } => write_one(dev, &pbas, &data),
+                FgOp::Verify { line } => match dev.verify_line(line) {
+                    Ok(outcome) => FgResult::Verified(outcome),
+                    Err(e) => FgResult::Failed(e),
+                },
+                FgOp::Heat {
+                    line,
+                    metadata,
+                    timestamp,
+                } => match dev.heat_line(line, metadata, timestamp) {
+                    Ok(payload) => FgResult::Heated(payload),
+                    Err(e) => FgResult::Failed(e),
+                },
+            })
+            .collect()
+    }
 
     fn pattern(seed: u8) -> [u8; SECTOR_DATA_BYTES] {
         let mut d = [0u8; SECTOR_DATA_BYTES];

@@ -44,7 +44,7 @@
 //! arbitrary cross-device interleavings). Fleet slices run un-locked
 //! ([`ScrubScheduler::run_slice`]): the fleet driver owns its member
 //! devices exclusively between foreground phases. A device served
-//! concurrently through `sero-fs`'s combiner instead takes the locked
+//! concurrently through `sero-fs`'s `ConcurrentFs` instead takes the locked
 //! path ([`ScrubScheduler::run_slice_locked`]) so in-flight foreground
 //! writes defer scrub per line — see the concurrency model in
 //! `docs/ARCHITECTURE.md`.

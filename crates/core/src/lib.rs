@@ -78,7 +78,7 @@ pub use tamper::{Evidence, TamperReport, VerifyOutcome};
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
     pub use crate::admission::{
-        execute_serial, AdmissionQueues, AdmissionStats, FgOp, FgResult, RegionMap, Ticket,
+        AdmissionQueues, AdmissionStats, FgOp, FgResult, RegionMap, Ticket,
     };
     pub use crate::badblock::{classify_block, BlockClass};
     pub use crate::device::{LineRecord, LoadProbe, SeroDevice, SeroError, SeroStats};

@@ -14,7 +14,7 @@
 //!    [`LineLockTable::write_many`] sorts for you, so there is no way to
 //!    express an out-of-order multi-acquisition.
 //! 2. **Line locks before the device.** A thread may block on a line lock
-//!    only while it does *not* hold the device (the `SeroFs` combiner
+//!    only while it does *not* hold the device (the `ConcurrentFs`
 //!    mutex). Anything already holding the device must use the `try_*`
 //!    variants and treat contention as "defer" — never as "wait".
 //!    [`crate::sched::ScrubScheduler::run_slice_locked`] is the canonical

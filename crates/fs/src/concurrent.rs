@@ -1,37 +1,31 @@
-//! [`ConcurrentFs`]: the re-entrant, multi-caller command path.
+//! [`ConcurrentFs`]: the shared, multi-caller command path.
 //!
 //! [`SeroFs::handle`] is `&mut self` — one caller at a time. This module
-//! wraps it in a **flat-combining** front end so any number of threads can
-//! call [`ConcurrentFs::handle`] concurrently:
-//!
-//! 1. A caller stages its request in the shared ingress mailbox and gets a
-//!    sequence number.
-//! 2. Whichever caller wins the `try_lock` on the file system becomes the
-//!    **combiner**: it drains the mailbox, executes *everyone's* requests
-//!    (not just its own), publishes the responses, and wakes the waiters.
-//!    Losers wait on the publication condvar instead of contending for
-//!    the device.
-//!
-//! The payoff is not just lock-contention hygiene: because the combiner
-//! sees a whole queue at once, it feeds runs of read-class requests
-//! (`Read`, `Verify`) through the admission scheduler
-//! ([`sero_core::admission`]) — per-region staging queues drained in one
-//! elevator sweep, coalesced into bulk extent transfers. Queue depth is
-//! what finally makes the PR 2–3 one-seek-per-extent machinery pay off
-//! under load: eight concurrent readers cost roughly one sled pass, not
-//! eight scattered seeks. `exp_concurrency` pins the ratio.
+//! puts the file system behind one lock so any number of threads can
+//! share it through clones of a [`ConcurrentFs`]. The device has one
+//! sled, so requests run one at a time whatever the front end; what
+//! matters is how many arrive together. [`ConcurrentFs::handle_batch`]
+//! takes the lock once for a whole window of requests (the `sero-server`
+//! reactor passes every request readable in one event-loop sweep) and
+//! feeds runs of read-class requests (`Read`, `Verify`) through the
+//! admission scheduler ([`sero_core::admission`]) — per-region staging
+//! queues drained in one elevator sweep, coalesced into bulk extent
+//! transfers. Queue depth is what makes the one-seek-per-extent
+//! machinery pay off under load: eight concurrent readers cost roughly
+//! one sled pass, not eight scattered seeks. `exp_concurrency` pins the
+//! ratio. [`ConcurrentFs::handle`] is a window of one.
 //!
 //! # Ordering and equivalence
 //!
-//! The combiner induces a total order: mailbox arrival order, with runs
-//! of consecutive read-class requests executed as one admission batch
-//! (whose batch order *is* its serialized schedule — see
-//! [`sero_core::admission`]). Every response and every registry side
-//! effect is equivalent to executing the induced schedule one request at
-//! a time through [`SeroFs::handle`]; the `concurrency_props` proptests
-//! assert byte-identical tamper evidence between the two. Requests from
-//! different threads carry no cross-thread ordering promises beyond
-//! linearizability — the induced schedule is one valid interleaving.
+//! A window executes in order, with runs of consecutive read-class
+//! requests executed as one admission batch (whose batch order *is* its
+//! serialized schedule — see [`sero_core::admission`]). Every response
+//! and every registry side effect is equivalent to executing the window
+//! one request at a time through [`SeroFs::handle`]; the
+//! `concurrency_props` proptests assert byte-identical tamper evidence
+//! between the two. Windows from different threads run in the order they
+//! take the lock — one valid interleaving, with no cross-thread ordering
+//! promise beyond linearizability.
 //!
 //! # Scrub and the line-lock discipline
 //!
@@ -40,11 +34,11 @@
 //! [`LineLockTable`] (see [`ConcurrentFs::line_locks`]): every line the
 //! slice verifies is `try_read`-locked for the duration, and a line some
 //! other holder has pinned is deferred to a later slice — never waited
-//! on, because the combiner already holds the device and the ordering
+//! on, because the window already holds the device and the ordering
 //! discipline ([`sero_core::locks`]) forbids blocking upward. External
-//! holders (an auditor pinning a line mid-verification, a future async
-//! reactor mutating one) take locks through [`ConcurrentFs::line_locks`]
-//! *without* holding the device, so they may block freely.
+//! holders (an auditor pinning a line mid-verification) take locks
+//! through [`ConcurrentFs::line_locks`] *without* holding the device, so
+//! they may block freely.
 //!
 //! [`ScrubScheduler::run_slice_locked`]: sero_core::sched::ScrubScheduler::run_slice_locked
 //!
@@ -86,44 +80,26 @@ use sero_core::admission::{AdmissionQueues, AdmissionStats, FgOp, FgResult, Tick
 use sero_core::locks::LineLockTable;
 use sero_core::tamper::VerifyOutcome;
 use sero_proto::{ErrorCode, Request, Response, WireError, WireVerdict};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
-use std::time::Duration;
-
-/// Sequence number of a staged request in the ingress mailbox.
-type Seq = u64;
-
-/// How long a losing caller waits on the publication condvar before
-/// re-checking the combiner lock. Purely a liveness backstop against a
-/// missed wakeup; the condvar fires on every publication.
-const WAIT_SLICE: Duration = Duration::from_millis(2);
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The region count for the admission queues: enough shards that an
 /// elevator sweep over a loaded queue approximates an ascending pass.
 const ADMISSION_REGIONS: u32 = 8;
 
-/// The combiner-protected state: the file system plus its admission
-/// queues (only ever touched while holding the same lock).
+/// The lock-protected state: the file system plus its admission queues.
 struct Core {
     fs: SeroFs,
     admission: AdmissionQueues,
 }
 
-struct Ingress {
-    next_seq: Seq,
-    staged: VecDeque<(Seq, Request)>,
-}
-
 struct Shared {
     core: Mutex<Core>,
-    ingress: Mutex<Ingress>,
-    done: Mutex<HashMap<Seq, Response>>,
-    published: Condvar,
     locks: LineLockTable,
 }
 
 /// A cloneable, thread-safe handle to one [`SeroFs`]. See the
-/// [module docs](self) for the combining model.
+/// [module docs](self) for the batching model.
 #[derive(Clone)]
 pub struct ConcurrentFs {
     shared: Arc<Shared>,
@@ -149,21 +125,14 @@ impl ConcurrentFs {
                     fs,
                     admission: AdmissionQueues::new(blocks, ADMISSION_REGIONS),
                 }),
-                ingress: Mutex::new(Ingress {
-                    next_seq: 0,
-                    staged: VecDeque::new(),
-                }),
-                done: Mutex::new(HashMap::new()),
-                published: Condvar::new(),
                 locks: LineLockTable::new(),
             }),
         }
     }
 
-    /// The shared line-lock table. External verification pins (and the
-    /// future async reactor) acquire here *without* holding the device;
-    /// scrub slices inside the combiner `try_read` against it and defer
-    /// contended lines.
+    /// The shared line-lock table. External verification pins acquire
+    /// here *without* holding the device; scrub slices inside a window
+    /// `try_read` against it and defer contended lines.
     pub fn line_locks(&self) -> &LineLockTable {
         &self.shared.locks
     }
@@ -177,141 +146,53 @@ impl ConcurrentFs {
 
     /// Runs `f` with exclusive access to the underlying [`SeroFs`] — the
     /// maintenance hatch for embedders (mount-time checks, tests,
-    /// benchmarks). Blocks until in-flight combining finishes; staged
-    /// requests stay staged and are served by the next combiner.
+    /// benchmarks). Blocks until the window in progress finishes.
     pub fn with_fs<R>(&self, f: impl FnOnce(&mut SeroFs) -> R) -> R {
         f(&mut lock_ignoring_poison(&self.shared.core).fs)
     }
 
-    /// Unwraps the inner [`SeroFs`] when this is the last clone, handing
-    /// `self` back otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(self)` while other clones (other worker threads) are
-    /// still alive.
-    pub fn try_into_fs(self) -> Result<SeroFs, ConcurrentFs> {
-        match Arc::try_unwrap(self.shared) {
-            Ok(shared) => Ok(shared
-                .core
-                .into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .fs),
-            Err(shared) => Err(ConcurrentFs { shared }),
-        }
-    }
-
-    /// Executes one wire [`Request`] and returns its [`Response`] — the
-    /// re-entrant form of [`SeroFs::handle`], safe to call from any
-    /// number of threads on clones of one `ConcurrentFs`. Semantics are
-    /// identical to `SeroFs::handle` (same validation, same error codes,
-    /// same tamper-evidence shape); see the [module docs](self) for the
-    /// induced ordering.
+    /// Executes one wire [`Request`] and returns its [`Response`] — a
+    /// window of one, safe to call from any number of threads on clones
+    /// of one `ConcurrentFs`. Semantics are identical to
+    /// [`SeroFs::handle`] (same validation, same error codes, same
+    /// tamper-evidence shape).
     pub fn handle(&self, request: Request) -> Response {
-        let seq = {
-            let mut ingress = lock_ignoring_poison(&self.shared.ingress);
-            let seq = ingress.next_seq;
-            ingress.next_seq += 1;
-            ingress.staged.push_back((seq, request));
-            seq
-        };
-        loop {
-            if let Some(response) = lock_ignoring_poison(&self.shared.done).remove(&seq) {
-                return response;
-            }
-            match self.shared.core.try_lock() {
-                Ok(mut core) => self.combine(&mut core),
-                Err(TryLockError::Poisoned(poisoned)) => self.combine(&mut poisoned.into_inner()),
-                Err(TryLockError::WouldBlock) => {
-                    // Someone else is combining. Wait for a publication;
-                    // the timeout only guards the race where it published
-                    // before this thread started waiting.
-                    let done = lock_ignoring_poison(&self.shared.done);
-                    if !done.contains_key(&seq) {
-                        let _ = self
-                            .shared
-                            .published
-                            .wait_timeout(done, WAIT_SLICE)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                }
-            }
-        }
+        self.handle_batch(vec![request])
+            .pop()
+            .expect("a window answers every request")
     }
 
-    /// Enqueues several requests, then combines until all of them have
-    /// responses — `handle` at a controlled queue depth from one thread.
-    /// This is how the deterministic benches and proptests model `n`
-    /// clients arriving within one combining window.
+    /// Executes a window of requests under one lock and returns their
+    /// responses in order: runs of consecutive read-class requests go
+    /// through the admission scheduler as one batch; everything else
+    /// executes through [`SeroFs::handle`] in arrival order. This is how
+    /// the reactor, the deterministic benches and the proptests model `n`
+    /// clients arriving together.
     pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let seqs: Vec<Seq> = {
-            let mut ingress = lock_ignoring_poison(&self.shared.ingress);
-            requests
-                .into_iter()
-                .map(|request| {
-                    let seq = ingress.next_seq;
-                    ingress.next_seq += 1;
-                    ingress.staged.push_back((seq, request));
-                    seq
-                })
-                .collect()
-        };
-        self.combine(&mut lock_ignoring_poison(&self.shared.core));
-        let mut done = lock_ignoring_poison(&self.shared.done);
-        seqs.iter()
-            .map(|seq| {
-                done.remove(seq)
-                    .expect("combiner resolved every staged seq")
-            })
-            .collect()
-    }
-
-    /// The combiner: drains the mailbox and executes everything staged,
-    /// repeatedly, until an empty sweep; publishes responses after each
-    /// sweep. Runs of consecutive read-class requests go through the
-    /// admission scheduler as one batch; everything else executes through
-    /// [`SeroFs::handle`] in arrival order.
-    fn combine(&self, core: &mut Core) {
-        loop {
-            let arrivals: Vec<(Seq, Request)> = {
-                let mut ingress = lock_ignoring_poison(&self.shared.ingress);
-                ingress.staged.drain(..).collect()
-            };
-            if arrivals.is_empty() {
-                return;
+        let mut core = lock_ignoring_poison(&self.shared.core);
+        let mut responses = Vec::with_capacity(requests.len());
+        let mut run: Vec<Request> = Vec::new();
+        for request in requests {
+            if mergeable(&request) {
+                run.push(request);
+                continue;
             }
-            let mut results: Vec<(Seq, Response)> = Vec::with_capacity(arrivals.len());
-            let mut run: Vec<(Seq, Request)> = Vec::new();
-            for (seq, request) in arrivals {
-                if mergeable(&request) {
-                    run.push((seq, request));
-                    continue;
-                }
-                self.flush_read_run(core, &mut run, &mut results);
-                let response = match request {
-                    Request::ScrubTick => core.fs.scrub_tick_locked(Some(&self.shared.locks)),
-                    other => core.fs.handle(other),
-                };
-                results.push((seq, response));
-            }
-            self.flush_read_run(core, &mut run, &mut results);
-            {
-                let mut done = lock_ignoring_poison(&self.shared.done);
-                done.extend(results);
-            }
-            self.shared.published.notify_all();
+            core.flush_read_run(&mut run, &mut responses);
+            responses.push(match request {
+                Request::ScrubTick => core.fs.scrub_tick_locked(Some(&self.shared.locks)),
+                other => core.fs.handle(other),
+            });
         }
+        core.flush_read_run(&mut run, &mut responses);
+        responses
     }
+}
 
+impl Core {
     /// Translates a run of read-class requests into admission ops, drains
-    /// them as one elevator batch, and maps the results back to wire
-    /// responses.
-    fn flush_read_run(
-        &self,
-        core: &mut Core,
-        run: &mut Vec<(Seq, Request)>,
-        results: &mut Vec<(Seq, Response)>,
-    ) {
+    /// them as one elevator batch, and appends the wire responses in run
+    /// order.
+    fn flush_read_run(&mut self, run: &mut Vec<Request>, responses: &mut Vec<Response>) {
         enum Plan {
             /// Waiting on an admission result; for reads, the file size to
             /// truncate the concatenated sectors to.
@@ -321,26 +202,25 @@ impl ConcurrentFs {
             Now(Response),
         }
 
-        let run = std::mem::take(run);
         if run.is_empty() {
             return;
         }
-        let mut plans: Vec<(Seq, Plan)> = Vec::with_capacity(run.len());
-        for (seq, request) in run {
+        let mut plans: Vec<Plan> = Vec::with_capacity(run.len());
+        for request in run.drain(..) {
             let plan = match request {
-                Request::Read { name } => match lookup(&core.fs, &name) {
+                Request::Read { name } => match lookup(&self.fs, &name) {
                     Ok(inode) => {
                         let pbas = inode.blocks.clone();
                         let size = inode.size as usize;
-                        core.fs.stats.blocks_read += pbas.len() as u64;
-                        Plan::Admitted(core.admission.submit(FgOp::Read { pbas }), Some(size))
+                        self.fs.stats.blocks_read += pbas.len() as u64;
+                        Plan::Admitted(self.admission.submit(FgOp::Read { pbas }), Some(size))
                     }
                     Err(e) => Plan::Now(Response::Error(e.into())),
                 },
-                Request::Verify { name } => match lookup(&core.fs, &name) {
+                Request::Verify { name } => match lookup(&self.fs, &name) {
                     Ok(inode) => match inode.heated {
                         Some(line) => {
-                            Plan::Admitted(core.admission.submit(FgOp::Verify { line }), None)
+                            Plan::Admitted(self.admission.submit(FgOp::Verify { line }), None)
                         }
                         None => Plan::Now(Response::Verified(WireVerdict::NotHeated)),
                     },
@@ -348,32 +228,29 @@ impl ConcurrentFs {
                 },
                 other => unreachable!("only read-class requests are staged: {other:?}"),
             };
-            plans.push((seq, plan));
+            plans.push(plan);
         }
 
-        let sled = core
+        let sled = self
             .admission
             .region_map()
-            .region_of(core.fs.dev.probe().position_block());
-        let batch = core.admission.take_batch(sled);
-        let mut outcomes: HashMap<Ticket, FgResult> = core
+            .region_of(self.fs.dev.probe().position_block());
+        let batch = self.admission.take_batch(sled);
+        let mut outcomes: HashMap<Ticket, FgResult> = self
             .admission
-            .execute_batch(&mut core.fs.dev, batch)
+            .execute_batch(&mut self.fs.dev, batch)
             .into_iter()
             .collect();
 
-        for (seq, plan) in plans {
-            let response = match plan {
-                Plan::Now(response) => response,
-                Plan::Admitted(ticket, size) => {
-                    let outcome = outcomes
-                        .remove(&ticket)
-                        .expect("execute_batch resolves every staged ticket");
-                    admitted_response(outcome, size)
-                }
-            };
-            results.push((seq, response));
-        }
+        responses.extend(plans.into_iter().map(|plan| match plan {
+            Plan::Now(response) => response,
+            Plan::Admitted(ticket, size) => {
+                let outcome = outcomes
+                    .remove(&ticket)
+                    .expect("execute_batch resolves every staged ticket");
+                admitted_response(outcome, size)
+            }
+        }));
     }
 }
 
@@ -418,7 +295,7 @@ fn admitted_response(outcome: FgResult, size: Option<usize>) -> Response {
         }
         FgResult::Failed(e) => Response::Error(WireError::from(e)),
         FgResult::Written | FgResult::Heated(_) => {
-            unreachable!("the combiner only admits reads and verifies")
+            unreachable!("a window only admits reads and verifies")
         }
     }
 }
@@ -648,16 +525,69 @@ mod tests {
     }
 
     #[test]
-    fn try_into_fs_round_trips() {
-        let cfs = fresh(256);
-        create(&cfs, "a", b"x");
-        let clone = cfs.clone();
-        let cfs = match cfs.try_into_fs() {
-            Err(still_shared) => still_shared,
-            Ok(_) => panic!("a live clone must block the unwrap"),
+    fn a_panic_inside_with_fs_leaves_every_caller_served() {
+        // The same history on two file systems: a tampered sealed line
+        // and a plain file.
+        let setup = |cfs: &ConcurrentFs| {
+            create(cfs, "vault", &[3u8; 1200]);
+            create(cfs, "plain", b"still here");
+            let line = match cfs.handle(Request::Heat {
+                name: "vault".into(),
+                metadata: b"case".to_vec(),
+                timestamp: 9,
+            }) {
+                Response::Heated { line } => line.to_line().unwrap(),
+                other => panic!("{other:?}"),
+            };
+            let resp = cfs.handle(Request::RawWrite {
+                pba: line.start() + 1,
+                data: vec![0xEE; SECTOR_DATA_BYTES],
+            });
+            assert_eq!(resp, Response::RawWritten);
         };
-        drop(clone);
-        let fs = cfs.try_into_fs().ok().expect("last clone unwraps");
-        assert!(fs.exists("a"));
+        let cfs = fresh(512);
+        let twin = fresh(512);
+        setup(&cfs);
+        setup(&twin);
+
+        let poisoner = cfs.clone();
+        let panicked = thread::spawn(move || poisoner.with_fs(|_| panic!("embedder bug")));
+        assert!(panicked.join().is_err());
+        assert!(cfs.shared.core.is_poisoned());
+
+        let script = vec![
+            Request::Read {
+                name: "plain".into(),
+            },
+            Request::Verify {
+                name: "vault".into(),
+            },
+            Request::Stat {
+                name: "plain".into(),
+            },
+            Request::Read {
+                name: "missing".into(),
+            },
+            Request::Verify {
+                name: "vault".into(),
+            },
+        ];
+        let served = {
+            let (cfs, script) = (cfs.clone(), script.clone());
+            thread::spawn(move || {
+                let one_by_one: Vec<Response> =
+                    script.iter().map(|r| cfs.handle(r.clone())).collect();
+                (one_by_one, cfs.handle_batch(script))
+            })
+            .join()
+            .unwrap()
+        };
+        let expected: Vec<Response> = script.iter().map(|r| twin.handle(r.clone())).collect();
+        assert_eq!(served.0, expected);
+        assert_eq!(served.1, twin.handle_batch(script));
+        match &served.1[1] {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::TamperDetected),
+            other => panic!("tamper verdict lost after the panic: {other:?}"),
+        }
     }
 }

@@ -1,17 +1,15 @@
 //! The readiness-driven reactor: one event loop, many connections, one
-//! combining window.
+//! batch window per sweep.
 //!
-//! The blocking daemon hands each connection to a thread and pays a
-//! wake/handoff per request; under a client swarm the handoff — not the
-//! device — becomes the bottleneck, and worse, requests dribble into the
-//! [`ConcurrentFs`] combiner one at a time, so the flat combiner never
-//! sees the deep batches the admission scheduler is built for. The
-//! reactor inverts this: a single thread owns every socket in
-//! non-blocking mode and sweeps them poll(2)-style, so *all* requests
-//! readable in one sweep are decoded together and dispatched as **one**
-//! [`ConcurrentFs::handle_batch`] call — readiness batching *is* the
-//! combining window, and n concurrent clients naturally form depth-n
-//! admission batches.
+//! A thread-per-connection daemon pays a wake/handoff per request; under
+//! a client swarm the handoff — not the device — becomes the bottleneck,
+//! and requests reach [`ConcurrentFs`] one at a time, so the admission
+//! scheduler never sees a deep batch. The reactor avoids both: a single
+//! thread owns every socket in non-blocking mode and sweeps them
+//! poll(2)-style, so *all* requests readable in one sweep are decoded
+//! together and dispatched as **one** [`ConcurrentFs::handle_batch`]
+//! call — readiness batching *is* the batch window, and n concurrent
+//! clients naturally form depth-n admission batches.
 //!
 //! # Event-loop phases (one sweep)
 //!
@@ -26,7 +24,7 @@
 //!    best-effort error and moves the connection to draining;
 //!    `Malformed` payloads answer an error and keep the connection.
 //! 4. **dispatch** — every request decoded this sweep, across all
-//!    connections, goes into a single `handle_batch` combining window.
+//!    connections, goes into a single `handle_batch` window.
 //!    Responses come back in order and are appended to each
 //!    connection's outbox.
 //! 5. **write** — flush outboxes until `WouldBlock`. A connection whose
@@ -58,7 +56,7 @@
 //! ```
 
 use sero_fs::concurrent::ConcurrentFs;
-use sero_proto::frame::{encode_response, FrameAssembler, FrameError, FrameKind};
+use sero_proto::frame::{encode_response, FrameAssembler, FrameKind};
 use sero_proto::{ErrorCode, Request, Response, WireError, MAX_PAYLOAD_BYTES};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -72,7 +70,7 @@ use crate::server::ServerConfig;
 
 /// Sleep after a sweep that accepted nothing, read nothing, and wrote
 /// nothing. Bounds idle CPU; also the dwell within which a closed-loop
-/// client population re-arms into the next combining window.
+/// client population re-arms into the next batch window.
 const IDLE_SWEEP_SLEEP: Duration = Duration::from_micros(500);
 
 /// Per-read chunk size, and (times [`MAX_READS_PER_SWEEP`]) the fairness
@@ -149,7 +147,7 @@ impl Conn {
 
 /// One decoded item from the read phase, in per-connection arrival
 /// order: either a response already decided locally (gating, payload
-/// errors) or a request bound for the combining window.
+/// errors) or a request bound for the batch window.
 enum Decoded {
     Ready(Response),
     Dispatch(Request),
@@ -170,6 +168,7 @@ pub(crate) fn run_reactor(
     listener.set_nonblocking(true)?;
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_id: u64 = 0;
+    let mut chunk = vec![0u8; READ_CHUNK];
     loop {
         if stop.load(Ordering::SeqCst) {
             for conn in conns.values() {
@@ -213,7 +212,6 @@ pub(crate) fn run_reactor(
         ids.sort_unstable(); // deterministic service order across sweeps
         let mut window: Vec<(u64, Decoded)> = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
-        let mut chunk = vec![0u8; READ_CHUNK];
         for &id in &ids {
             let conn = conns.get_mut(&id).expect("id collected from live map");
             if conn.peer_eof || conn.outbox_pending() > MAX_OUTBOX_BYTES {
@@ -259,8 +257,8 @@ pub(crate) fn run_reactor(
                     }
                     Ok(None) => break,
                     Err(e) => {
-                        // Unframeable bytes: answer best-effort, then
-                        // drain and close — mirrors the blocking daemon.
+                        // Unframeable bytes: the stream cannot resync,
+                        // so answer best-effort, then drain and close.
                         conn.queue_response(&Response::Error(WireError::from(e)));
                         conn.draining = true;
                     }
@@ -274,28 +272,30 @@ pub(crate) fn run_reactor(
             conns.remove(&id);
         }
 
-        // --- dispatch: one combining window per sweep -------------------
+        // --- dispatch: one batch window per sweep ----------------------
         if !window.is_empty() {
             did_work = true;
-            let batch: Vec<Request> = window
-                .iter()
-                .filter_map(|(_, d)| match d {
-                    Decoded::Dispatch(req) => Some(req.clone()),
-                    Decoded::Ready(_) => None,
+            // Move each request into the batch, leaving `None` where the
+            // window's answer will come from `handle_batch`.
+            let mut batch: Vec<Request> = Vec::with_capacity(window.len());
+            let answers: Vec<(u64, Option<Response>)> = window
+                .into_iter()
+                .map(|(id, decoded)| match decoded {
+                    Decoded::Ready(resp) => (id, Some(resp)),
+                    Decoded::Dispatch(req) => {
+                        batch.push(req);
+                        (id, None)
+                    }
                 })
                 .collect();
             let mut responses = fs.handle_batch(batch).into_iter();
-            for (id, decoded) in window {
-                let response = match decoded {
-                    Decoded::Ready(resp) => resp,
-                    Decoded::Dispatch(_) => match responses.next() {
-                        Some(resp) => resp,
-                        None => Response::Error(WireError::new(
-                            ErrorCode::BadFrame,
-                            "combining window answered short",
-                        )),
-                    },
-                };
+            for (id, ready) in answers {
+                let response = ready.or_else(|| responses.next()).unwrap_or_else(|| {
+                    Response::Error(WireError::new(
+                        ErrorCode::BadFrame,
+                        "batch window answered short",
+                    ))
+                });
                 // The connection may have died (EOF) after its request
                 // was read; its response has nowhere to go.
                 if let Some(conn) = conns.get_mut(&id) {
@@ -379,10 +379,10 @@ pub(crate) fn run_reactor(
     }
 }
 
-/// Decodes one request payload, applying the same gating as the blocking
-/// daemon: raw writes without `--allow-raw` answer
-/// [`ErrorCode::UnsupportedCommand`], a sound frame with an
-/// unintelligible payload answers `Malformed` and keeps the connection.
+/// Decodes one request payload: raw writes without `--allow-raw` answer
+/// [`ErrorCode::UnsupportedCommand`]; a sound frame with an
+/// unintelligible payload answers its decode error and keeps the
+/// connection.
 fn decode_request(payload: &[u8], allow_raw: bool) -> Decoded {
     match Request::decode(payload) {
         Ok(Request::RawWrite { .. }) if !allow_raw => {
@@ -392,16 +392,13 @@ fn decode_request(payload: &[u8], allow_raw: bool) -> Decoded {
             )))
         }
         Ok(request) => Decoded::Dispatch(request),
-        Err(e @ FrameError::Malformed { .. }) => {
-            Decoded::Ready(Response::Error(WireError::from(e)))
-        }
         Err(e) => Decoded::Ready(Response::Error(WireError::from(e))),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::server::{SeroServer, ServerConfig, ServerMode};
+    use crate::server::{SeroServer, ServerConfig};
     use sero_core::device::SeroDevice;
     use sero_fs::fs::{FsConfig, SeroFs};
     use sero_proto::frame::{encode_request, read_frame, write_frame, FrameKind};
@@ -435,7 +432,6 @@ mod tests {
     #[test]
     fn cap_refuses_with_server_busy_and_readmits_after_reap() {
         let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
             max_connections: 2,
             read_timeout: Some(Duration::from_secs(30)),
             ..ServerConfig::default()
@@ -481,10 +477,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answer_in_order_from_one_window() {
-        let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
-            ..ServerConfig::default()
-        });
+        let (handle, addr) = reactor_server(ServerConfig::default());
         let mut conn = blocking_conn(addr);
         // Three requests in a single write: the reactor decodes all of
         // them from one readable sweep and answers in order.
@@ -511,7 +504,6 @@ mod tests {
     #[test]
     fn stalled_mid_frame_peer_is_reaped_by_the_reactor_timer() {
         let (handle, addr) = reactor_server(ServerConfig {
-            mode: ServerMode::Reactor,
             read_timeout: Some(Duration::from_millis(100)),
             ..ServerConfig::default()
         });

@@ -4,12 +4,11 @@
 //! `sero-server` wire daemon — drives the stack through one door: a
 //! [`sero::proto::Request`] handed to [`sero::fs::fs::SeroFs::handle`]
 //! (exclusive access) or to a shared [`sero::fs::ConcurrentFs`] (what
-//! the daemon's worker threads use). This example formats a file
+//! the daemon's event loop uses). This example formats a file
 //! system, stores a file, freezes it under a heated line, tampers
 //! through the raw interface, watches the verify command answer with
 //! the wire-stable `TAMPER-DETECTED` code — then hands the same file
-//! system to concurrent callers and lets the combiner merge their
-//! reads.
+//! system to concurrent callers sharing one lock.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -117,11 +116,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 7. The concurrent front end: the same door, shared by threads.
-    // `ConcurrentFs` wraps the file system in a flat combiner — callers
-    // stage requests, one thread drains everyone's at once, and the
-    // admission scheduler merges queued reads into elevator sweeps
-    // (docs/ARCHITECTURE.md has the full concurrency model). This is
-    // exactly what `sero-server` workers share.
+    // `ConcurrentFs` puts the file system behind one lock; each
+    // `handle_batch` window takes it once, and the admission scheduler
+    // merges the window's reads into elevator sweeps. `handle` is a
+    // window of one, so these threads take turns. `sero-server`'s event
+    // loop passes each sweep's requests as one window
+    // (docs/ARCHITECTURE.md has the full concurrency model).
     let cfs = ConcurrentFs::new(fs);
     let readers: Vec<_> = (0..4)
         .map(|_| {
@@ -141,9 +141,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for r in readers {
         r.join().expect("reader thread");
     }
+    // A window of four reads, as the daemon passes it when four clients
+    // are readable in one sweep, merges into one elevator sweep.
+    let window = cfs.handle_batch(vec![read; 4]);
+    assert!(window
+        .iter()
+        .all(|r| matches!(r, Response::Data { bytes } if bytes.len() == 1500)));
     let stats = cfs.admission_stats();
     println!(
-        "concurrent phase: 4 threads x 8 reads served; {} reads merged into sweeps",
+        "concurrent phase: 4 threads x 8 reads served, then a 4-read window; \
+         {} reads merged into sweeps",
         stats.reads_merged
     );
     Ok(())

@@ -6,8 +6,8 @@
 # with the evidence report. Used by the server-smoke CI job; runnable
 # locally as `./scripts/server_smoke.sh ./target/release`.
 #
-# `--reactor` switches to the reactor-scale drill: the daemon (running
-# its default readiness-driven event loop) must hold 512 idle
+# `--reactor` switches to the reactor-scale drill: the daemon (one
+# readiness-driven event loop) must hold 512 idle
 # connections while 8 active CLI clients work concurrently — with a
 # bounded thread count, every idle connection answered before AND after
 # the hold — then pass the same tamper drill. Used by the reactor-smoke

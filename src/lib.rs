@@ -43,14 +43,16 @@
 //!
 //! A [`fs::fs::SeroFs`] wants exclusive access (`&mut self`). To share
 //! one file system across threads — the `sero-server` deployment shape —
-//! wrap it in [`fs::ConcurrentFs`]: a cloneable handle whose flat
-//! combiner drains every caller's staged requests at once and lets the
-//! admission scheduler ([`core::admission`]) merge queued reads into
-//! elevator sweeps, while budgeted scrub slices interleave under the
-//! [`core::locks`] line-lock discipline. Any interleaving answers
-//! byte-identically to the serialized schedule — tamper evidence
-//! included. `docs/ARCHITECTURE.md` documents the model and its
-//! invariants; `examples/quickstart.rs` ends with a threaded demo.
+//! wrap it in [`fs::ConcurrentFs`]: a cloneable handle over one mutex.
+//! Its `handle_batch` takes the lock once per window of requests (the
+//! daemon's reactor passes every request readable in one sweep) and lets
+//! the admission scheduler ([`core::admission`]) merge the window's
+//! queued reads into elevator sweeps, while budgeted scrub slices
+//! interleave under the [`core::locks`] line-lock discipline. Any
+//! interleaving answers byte-identically to the serialized schedule —
+//! tamper evidence included. `docs/ARCHITECTURE.md` documents the model
+//! and its invariants; `examples/quickstart.rs` ends with a threaded
+//! demo.
 //!
 //! ```
 //! use sero::fs::fs::{FsConfig, SeroFs};

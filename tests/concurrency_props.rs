@@ -2,11 +2,11 @@
 //!
 //! The admission scheduler may merge queued reads into elevator sweeps
 //! and a budgeted scrub pass may tick between any two foreground
-//! batches, but none of that is allowed to show: whatever chunking of
-//! the same request script the combiner sees, every response and the
-//! final line registry — the tamper evidence — must be byte-identical
-//! to the serialized (depth-1) schedule, and to a plain `SeroFs`
-//! handling the script one request at a time.
+//! batches, but none of that is allowed to show: however the same
+//! request script is chunked into `handle_batch` windows, every response
+//! and the final line registry — the tamper evidence — must be
+//! byte-identical to the serialized (depth-1) schedule, and to a plain
+//! `SeroFs` handling the script one request at a time.
 //!
 //! The lock-ordering edge case gets its own property: a foreground
 //! writer pinning a heated line (a held [`LineLockTable`] write guard)
@@ -157,7 +157,7 @@ proptest! {
             incremental: false,
         };
 
-        // Twin 1: the combiner sees the script in proptest-drawn chunks.
+        // Twin 1: the script arrives in proptest-drawn windows.
         let chunked = ConcurrentFs::new(build_fs(&victims).0);
         start_scrub(chunked.handle(start.clone()));
         let mut chunked_responses = Vec::new();
@@ -179,7 +179,7 @@ proptest! {
             requests.iter().map(|r| serial.handle(r.clone())).collect();
         let serial_pass = drain_scrub(|| serial.handle(Request::ScrubTick));
 
-        // Twin 3: no combiner at all — a bare SeroFs replay.
+        // Twin 3: no ConcurrentFs at all — a bare SeroFs replay.
         let (mut bare, _) = build_fs(&victims);
         start_scrub(bare.handle(start));
         for request in &requests {
@@ -253,7 +253,7 @@ proptest! {
                 .map(|&p| cfs.line_locks().write(lines[p].start()))
                 .collect();
             // Give the pass ample ticks to cover every unpinned line;
-            // each tick must return (the combiner defers, it never
+            // each tick must return (the window defers, it never
             // blocks on a held line) and must leave every pinned record
             // exactly as it was — verified in full later, or not at all.
             for _ in 0..held_ticks * 50 {
@@ -294,8 +294,8 @@ proptest! {
     }
 }
 
-/// Real threads, real contention: readers and writers hammer the
-/// combiner while the main thread drives a budgeted pass over a
+/// Real threads, real contention: readers and writers hammer one
+/// `ConcurrentFs` while the main thread drives a budgeted pass over a
 /// population with one planted tamper. Nothing may deadlock, every
 /// response must be well-formed, and the evidence must surface.
 #[test]

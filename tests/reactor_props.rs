@@ -10,7 +10,7 @@ use sero::proto::frame::{
     decode_frame, encode_request, FrameAssembler, FrameError, FrameKind, FRAME_OVERHEAD_BYTES,
 };
 use sero::proto::Request;
-use sero_server::{SeroServer, ServerConfig, ServerMode};
+use sero_server::{SeroServer, ServerConfig};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -190,7 +190,6 @@ fn stalled_mid_frame_peer_is_reaped_without_pinning_others() {
         "127.0.0.1:0",
         fs,
         ServerConfig {
-            mode: ServerMode::Reactor,
             read_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
         },

@@ -9,7 +9,7 @@ use sero_client::{ClientError, SeroClient};
 use sero_core::device::SeroDevice;
 use sero_fs::fs::{FsConfig, SeroFs};
 use sero_proto::{ErrorCode, WireClass, WireSchedState, WireVerdict};
-use sero_server::{PoolKind, SeroServer, ServerConfig, ServerHandle};
+use sero_server::{SeroServer, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::thread;
 
@@ -54,14 +54,7 @@ fn crud_round_trip_over_the_wire() {
 
 #[test]
 fn eight_concurrent_clients_see_consistent_state() {
-    let (handle, addr) = spawn_server(
-        4096,
-        ServerConfig {
-            pool: PoolKind::SharedQueue,
-            threads: 4,
-            ..ServerConfig::default()
-        },
-    );
+    let (handle, addr) = spawn_server(4096, ServerConfig::default());
 
     const CLIENTS: usize = 8;
     const OPS: usize = 12;

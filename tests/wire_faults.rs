@@ -1,13 +1,13 @@
 //! Wire-path fault injection: stalled peers, dead servers, and torn
 //! frames. Pins the self-healing contract — a stalled or dead peer
-//! never wedges `sero-client` (deadlines) or pins a `sero-server`
-//! worker (idle reap), idempotent requests heal over a fresh connection,
-//! and mutations are never retried.
+//! never wedges `sero-client` (deadlines) or pins the `sero-server`
+//! event loop (idle reap), idempotent requests heal over a fresh
+//! connection, and mutations are never retried.
 
 use sero_client::{ClientConfig, SeroClient};
 use sero_core::device::SeroDevice;
 use sero_fs::fs::{FsConfig, SeroFs};
-use sero_server::{PoolKind, SeroServer, ServerConfig, ServerHandle};
+use sero_server::{SeroServer, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -37,27 +37,25 @@ fn quick_client(addr: SocketAddr) -> SeroClient {
 }
 
 /// A peer that sends half a frame header and then stalls must not pin
-/// the only worker: the server's read deadline reaps it and the next
-/// client gets served.
+/// the daemon: its single event-loop thread serves the next client while
+/// the staller's partial frame waits, and the read deadline reaps it.
 #[test]
 fn stalled_peer_is_reaped_and_does_not_pin_a_worker() {
     let (handle, addr) = spawn_server(
         256,
         ServerConfig {
-            pool: PoolKind::SharedQueue,
-            threads: 1, // a single worker makes pinning observable
             read_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
         },
     );
 
     // The stall: four header bytes, then silence. Keep the socket open
-    // so only the reap (not an EOF) can free the worker.
+    // so only the reap (not an EOF) can close it.
     let mut staller = TcpStream::connect(addr).unwrap();
     staller.write_all(&[0x53, 0x46, 0x52, 0x4D]).unwrap();
 
-    // The victim: with the worker pinned this ping would wait forever;
-    // the reap frees it within the read deadline.
+    // The victim: one thread serves every socket, so a loop that
+    // blocked on the staller's missing bytes would never answer this.
     let t0 = Instant::now();
     let mut client = quick_client(addr);
     client.ping().expect("stalled peer must not block service");
