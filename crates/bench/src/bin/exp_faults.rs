@@ -65,9 +65,13 @@ fn replay(fs: &mut SeroFs, traffic: &[sero_workload::Op]) -> Vec<u128> {
 }
 
 /// Full scrub pass, returning (device ms, lines verified, tampered).
+///
+/// One worker, pinned: the default sizes the pool from the host's
+/// `available_parallelism()`, and the parallel pass's device time is the
+/// slowest worker's, so the baseline would track the host's core count.
 fn scrub(fs: &mut SeroFs) -> (f64, usize, usize) {
     let t0 = clock(fs);
-    let report = scrub_device(fs.device_mut(), &ScrubConfig::default()).expect("scrub pass");
+    let report = scrub_device(fs.device_mut(), &ScrubConfig::with_workers(1)).expect("scrub pass");
     let ms = (clock(fs) - t0) as f64 / 1e6;
     let tampered = report.tampered_lines().count();
     (ms, report.outcomes.len(), tampered)

@@ -11,9 +11,8 @@
 //! # The `BENCH_*.json` schema (`sero-bench/v1`)
 //!
 //! The perf-baseline binaries (`exp_scrub`, `exp_bulk_io`, `exp_registry`,
-//! `exp_sched`, `exp_fleet`, `exp_server`, `exp_concurrency`,
-//! `exp_faults`, `exp_reactor`, `exp_metadata`) each emit
-//! one JSON document, written to the current
+//! `exp_sched`, `exp_fleet`, `exp_served`, `exp_faults`, `exp_metadata`)
+//! each emit one JSON document, written to the current
 //! directory (override with `SERO_BENCH_OUT_DIR`). Committed baselines
 //! live in `benchmarks/` at the repo root; CI regenerates the files with
 //! `SERO_BENCH_FAST=1` and runs `bench_compare` against the committed
@@ -113,61 +112,62 @@
 //!   / `scrub_completion_budgeted_ms` (pass completion under load),
 //!   `budgeted_slices` / `budgeted_throttled_ticks`, `lines_verified`,
 //!   `tampered` (the planted evidence both phases must find).
-//! * `bench = "server"` — the command path and the wire codec
-//!   (`exp_server`). A fixed command script — creates, a read/write mix,
-//!   heating, verification, and a budgeted scrub ticked to completion —
-//!   travels [`sero_proto`]'s full encode → decode → `SeroFs::handle`
-//!   round trip: `commands`, `wire_bytes` / `request_bytes` /
-//!   `response_bytes`, `bytes_per_command`, `framing_overhead_ppm` (the
-//!   14-byte frame header+CRC each way), `replay_device_ms` and
-//!   `commands_per_device_s` (simulated device clock), `scrub_ticks` /
-//!   `scrub_throttled`, `lines_verified`, `errors` (0 by construction,
-//!   asserted). `"host"` holds only the replay's wall time (`replay_ms`);
-//!   real-socket swarms are `exp_reactor`'s.
-//! * `bench = "reactor"` — the readiness-driven wire server
-//!   (`exp_reactor`): the `exp_concurrency` read script replayed at
-//!   ready-set sizes 1/2/4/8/16, each window encoded to wire frames, fed
-//!   through [`sero_proto::frame::FrameAssembler`] in deterministically
-//!   varied chunk sizes, and dispatched as a single
-//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`]
-//!   window: `ready_{1,2,4,8,16}_device_ms`, `throughput_x{2,4,8,16}`
-//!   (`throughput_x8` carries the ≥ 2.5× acceptance bar, asserted),
-//!   `sim_depth8_ops_per_device_s` (the simulated admission curve the
-//!   host swarm must track), `frames_reassembled` / `reassembly_chunks`
-//!   (chunked-delivery work proof), `wire_script_commands` and
-//!   `responses_identical` (1 iff an identical command script —
-//!   including a raw-write tamper and the verify that detects it —
-//!   answers byte-for-byte the same over a real socket against the
-//!   reactor daemon as in-process through
-//!   [`sero_fs::fs::SeroFs::handle`], asserted), `tampered` (the
-//!   framed tamper drill's evidence, asserted). Real reactor swarms at
-//!   1/2/4/8/16 clients plus an idle-connection axis (0/128/256 silent
-//!   sockets held open alongside 8 active clients) report under
-//!   `"host"` only — but the binary itself **asserts**
-//!   `host.tracking.ratio ≥ 0.8` (the 8-client swarm's ops per
-//!   *device*-second against `sim_depth8_ops_per_device_s`), so a
-//!   reactor that stops forming deep batch windows fails the
-//!   regeneration run even though the compare step never reads
-//!   `"host"`. The `reactor_trace.json` latency tails are uploaded for
-//!   humans and never compared.
-//! * `bench = "concurrency"` — the concurrent foreground core
-//!   (`exp_concurrency`): one shuffled read script replayed against
-//!   identical file systems at queue depths 1/2/4/8 through
-//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`], where depth 1
-//!   *is* the one-at-a-time schedule and deeper queues let
-//!   [`sero_core::admission`] coalesce reads into elevator sweeps:
-//!   `depth_{1,2,4,8}_device_ms`, `throughput_x2` / `throughput_x4` /
-//!   `throughput_x8` (depth-1 device time over depth-N; `throughput_x8`
-//!   carries the ≥ 2.5× acceptance bar, asserted), `reads_merged_at_8` /
-//!   `blocks_deduped_at_8` (admission-scheduler work proof), plus the
-//!   scrub-interleaving phase — a budgeted pass ticking between read
-//!   batches with one line tampered mid-workload, replayed serialized:
-//!   `scrub_depth8_device_ms` / `scrub_serial_device_ms`,
-//!   `scrub_ticks_depth8` / `scrub_ticks_serial`, `lines_verified`,
-//!   `tampered` (exactly the planted line, asserted) and
-//!   `evidence_identical` (1 iff responses, verdicts, and the sorted
-//!   line registry are byte-identical across schedules, asserted). It
-//!   writes no `"host"` block: every phase is deterministic.
+//! * `bench = "served"` — the served path (`exp_served`): queue depth
+//!   through the reactor's locked
+//!   [`sero_fs::concurrent::ConcurrentFs::handle_batch`] window, on the
+//!   simulated device clock. Each phase runs once on its own population.
+//!   * Ready-set sweep: one shuffled 192-read script replayed at ready-set
+//!     sizes 1/2/4/8/16, each window encoded to frames, fed through
+//!     [`sero_proto::frame::FrameAssembler`] in deterministically varied
+//!     chunks and dispatched as one batch (ready set 1 *is* the
+//!     one-at-a-time schedule): `ready_{1,2,4,8,16}_device_ms`,
+//!     `throughput_x{2,4,8,16}` (`throughput_x8` carries the ≥ 2.5×
+//!     acceptance bar, asserted), `ready_8_ops_per_device_s`,
+//!     `reads_merged_at_8` / `blocks_deduped_at_8` (from
+//!     `admission_stats()`), `frames_reassembled` / `reassembly_chunks`.
+//!   * Window formation: `windows_formed` (5). For n = 1/2/4/8/16, n
+//!     clients each write one `Read` frame before the daemon's reactor
+//!     starts; exactly one admission batch of n must run, with device
+//!     time and responses equal to in-process `handle_batch` of the same
+//!     requests on a twin (asserted).
+//!   * Scrub interleave: a budgeted pass ticking between depth-8 read
+//!     windows with one line tampered, replayed serially:
+//!     `scrub_depth8_device_ms` / `scrub_serial_device_ms`,
+//!     `scrub_ticks_depth8` / `scrub_ticks_serial`,
+//!     `scrub_lines_verified`, `scrub_tampered` (exactly the planted line,
+//!     asserted), `scrub_evidence_identical` (1 iff responses, verdicts
+//!     and the sorted line registry match across schedules, asserted).
+//!   * Wire command replay: creates, a read/write mix, heating,
+//!     verification and a budgeted scrub through the full encode → decode
+//!     → `SeroFs::handle` round trip: `replay_commands`,
+//!     `replay_wire_bytes` / `replay_request_bytes` /
+//!     `replay_response_bytes`, `replay_bytes_per_command`,
+//!     `replay_framing_overhead_ppm` (the 14-byte frame header+CRC each
+//!     way), `replay_device_ms`, `replay_commands_per_device_s`,
+//!     `replay_scrub_ticks` / `replay_scrub_throttled`,
+//!     `replay_lines_verified`, `replay_errors` (0, asserted).
+//!   * Framed tamper drill: `framed_tampered` (asserted).
+//!   * Reactor ≡ in-process: `wire_script_commands` and
+//!     `responses_identical` (1 iff the script, raw-write tamper and
+//!     detecting verify included, answers byte-for-byte the same over a
+//!     socket against the reactor as through
+//!     [`sero_fs::fs::SeroFs::handle`], asserted).
+//!
+//!   It writes no `"host"` block: host time belongs to the `e2e`
+//!   benchmark. The keys replace three earlier baselines:
+//!
+//!   | earlier key | `served` key |
+//!   |---|---|
+//!   | concurrency `depth_{1,2,4,8}_device_ms` | `ready_{1,2,4,8}_device_ms` |
+//!   | concurrency `throughput_x{2,4,8}` | `throughput_x{2,4,8}` |
+//!   | concurrency `reads_merged_at_8`, `blocks_deduped_at_8` | same |
+//!   | concurrency `scrub_*_device_ms`, `scrub_ticks_*` | same |
+//!   | concurrency `lines_verified`, `tampered`, `evidence_identical` | `scrub_` + key |
+//!   | server `replay_device_ms` | same |
+//!   | server `commands`, `wire_bytes`, `request_bytes`, `response_bytes`, `bytes_per_command`, `framing_overhead_ppm`, `commands_per_device_s`, `scrub_ticks`, `scrub_throttled`, `lines_verified`, `errors` | `replay_` + key |
+//!   | reactor `ready_*_device_ms`, `throughput_x*`, `frames_reassembled`, `reassembly_chunks`, `wire_script_commands`, `responses_identical` | same |
+//!   | reactor `sim_depth8_ops_per_device_s` | `ready_8_ops_per_device_s` |
+//!   | reactor `tampered` | `framed_tampered` |
 //! * `bench = "faults"` — bounded degradation under a calibrated
 //!   transient-fault rate (`exp_faults`): two clones of one populated
 //!   file system replay identical mixed traffic, one with a seeded

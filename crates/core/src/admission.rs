@@ -16,31 +16,29 @@
 //!   sweep starting from the region under the sled. **The batch order is
 //!   the serialized schedule**: executing the batch is, by construction,
 //!   equivalent to executing its ops one at a time in exactly that order.
-//! * [`AdmissionQueues::execute_batch`] — runs a batch, merging runs of
-//!   same-kind ops into the extent/escan bulk paths: consecutive reads
-//!   coalesce into one sorted, deduplicated sweep
-//!   ([`SeroDevice::read_blocks_sweep`]), conflict-free writes into one
-//!   write sweep, consecutive heats into one [`SeroDevice::heat_lines`]
-//!   batch (two sled trips however many lines).
+//! * [`AdmissionQueues::execute_batch`] — runs a batch, coalescing each
+//!   run of consecutive reads into one sorted, deduplicated sweep
+//!   ([`SeroDevice::read_blocks_sweep`]); verifies run one at a time
+//!   between the runs.
+//!
+//! Only reads and verifies are admitted: they are the ops a batch window
+//! submits. Writes and heats execute through the file system in arrival
+//! order.
 //!
 //! # Why merging preserves the serialized schedule
 //!
-//! Only *consecutive same-kind* ops merge, so cross-kind ordering (a read
-//! after a write, a verify after a heat) is untouched. Within a merged
-//! group: reads commute; writes merge only while their targets are
-//! disjoint (a repeated address splits the group at the conflict, keeping
-//! last-writer-wins); heats ride [`SeroDevice::heat_lines`], whose
-//! batching is itself equivalent to the serial loop. Protocol violations
-//! (a read touching a hash block, a write into a heated line) are
-//! screened per-op before any merge and executed individually, so their
-//! error *and* their flag-the-line side effect land exactly as the serial
-//! schedule would have landed them. If a merged operation fails mid-sweep
-//! the group falls back to per-op execution — magnetic rewrites are
-//! idempotent, so the fallback converges on the serial outcome. This
-//! module's unit tests pin each merge against a one-at-a-time oracle,
-//! and the `concurrency_props` proptests drive arbitrary read, write,
-//! verify and scrub scripts through `sero-fs`'s batch window: responses
-//! and tamper evidence byte-identical to the serialized schedule.
+//! Only *consecutive* reads merge, so a verify between two reads keeps
+//! its place in the schedule. Within a merged run reads commute. Protocol
+//! violations (a read touching a hash block) are screened per-op before
+//! any merge and executed individually, so their error *and* their
+//! flag-the-line side effect land exactly as the serial schedule would
+//! have landed them. If a merged sweep fails, the run falls back to
+//! per-op execution; reads do not mutate, so the retry converges on the
+//! serial outcome. This module's unit tests pin the merge against a
+//! one-at-a-time oracle, and the `concurrency_props` proptests drive
+//! arbitrary read, write, verify and scrub scripts through `sero-fs`'s
+//! batch window: responses and tamper evidence byte-identical to the
+//! serialized schedule.
 //!
 //! # Examples
 //!
@@ -63,7 +61,6 @@
 //! ```
 
 use crate::device::{SeroDevice, SeroError};
-use crate::layout::HashBlockPayload;
 use crate::line::Line;
 use crate::tamper::VerifyOutcome;
 use sero_probe::sector::SECTOR_DATA_BYTES;
@@ -71,10 +68,6 @@ use std::collections::{HashMap, VecDeque};
 
 /// Identifies one submitted op; results come back as `(Ticket, FgResult)`.
 pub type Ticket = u64;
-
-/// One staged write: its ticket, target addresses, and sector payloads
-/// (`data[i]` goes to `pbas[i]`).
-type StagedWrite = (Ticket, Vec<u64>, Vec<[u8; SECTOR_DATA_BYTES]>);
 
 /// A foreground operation staged for admission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,26 +77,10 @@ pub enum FgOp {
         /// Target addresses, in the order the caller wants them back.
         pbas: Vec<u64>,
     },
-    /// Write `data[i]` to `pbas[i]`.
-    Write {
-        /// Target addresses.
-        pbas: Vec<u64>,
-        /// One sector payload per address.
-        data: Vec<[u8; SECTOR_DATA_BYTES]>,
-    },
     /// Verify a heated line.
     Verify {
         /// The line to verify.
         line: Line,
-    },
-    /// Heat a line (freeze it read-only with a burned hash).
-    Heat {
-        /// The line to heat.
-        line: Line,
-        /// Metadata for the hash block.
-        metadata: Vec<u8>,
-        /// Timestamp for the hash block.
-        timestamp: u64,
     },
 }
 
@@ -112,9 +89,7 @@ impl FgOp {
     fn anchor(&self) -> u64 {
         match self {
             FgOp::Read { pbas } => pbas.first().copied().unwrap_or(0),
-            FgOp::Write { pbas, .. } => pbas.first().copied().unwrap_or(0),
             FgOp::Verify { line } => line.start(),
-            FgOp::Heat { line, .. } => line.start(),
         }
     }
 }
@@ -124,12 +99,8 @@ impl FgOp {
 pub enum FgResult {
     /// Sectors read, in the op's request order.
     Data(Vec<[u8; SECTOR_DATA_BYTES]>),
-    /// The write landed.
-    Written,
     /// The verification verdict (tamper findings are data, not errors).
     Verified(VerifyOutcome),
-    /// The line was heated; its decoded hash-block payload.
-    Heated(HashBlockPayload),
     /// The op failed with a protocol or device error.
     Failed(SeroError),
 }
@@ -190,9 +161,11 @@ pub struct AdmissionStats {
     pub batches: u64,
     /// Read ops that shared a coalesced sweep with at least one other.
     pub reads_merged: u64,
-    /// Write ops that shared a coalesced sweep with at least one other.
+    /// Always zero: admission stages no writes. Kept so existing struct
+    /// literals and counter deltas still build.
     pub writes_merged: u64,
-    /// Heat ops that shared a [`SeroDevice::heat_lines`] batch.
+    /// Always zero: admission stages no heats. Kept for the same reason
+    /// as `writes_merged`.
     pub heats_merged: u64,
     /// Blocks that were requested more than once in a coalesced read and
     /// transferred only once.
@@ -271,9 +244,9 @@ impl AdmissionQueues {
         batch
     }
 
-    /// Executes `batch` against `dev`, merging runs of same-kind ops into
-    /// bulk transfers, and returns `(ticket, result)` in schedule order.
-    /// Results (and every registry side effect: flags, heats, verified
+    /// Executes `batch` against `dev`, coalescing runs of consecutive
+    /// reads into bulk sweeps, and returns `(ticket, result)` in schedule
+    /// order. Results (and every registry side effect: flags, verified
     /// epochs) are equivalent to executing the ops one at a time in batch
     /// order.
     pub fn execute_batch(
@@ -283,40 +256,17 @@ impl AdmissionQueues {
     ) -> Vec<(Ticket, FgResult)> {
         let mut out = Vec::with_capacity(batch.len());
         let mut reads: Vec<(Ticket, Vec<u64>)> = Vec::new();
-        let mut writes: Vec<StagedWrite> = Vec::new();
-        let mut heats: Vec<(Ticket, Line, Vec<u8>, u64)> = Vec::new();
-
         for (ticket, op) in batch {
-            if !matches!(op, FgOp::Read { .. }) {
-                self.flush_reads(dev, &mut reads, &mut out);
-            }
-            if !matches!(op, FgOp::Write { .. }) {
-                self.flush_writes(dev, &mut writes, &mut out);
-            }
-            if !matches!(op, FgOp::Heat { .. }) {
-                self.flush_heats(dev, &mut heats, &mut out);
-            }
             match op {
                 FgOp::Read { pbas } => reads.push((ticket, pbas)),
-                FgOp::Write { pbas, data } => writes.push((ticket, pbas, data)),
-                FgOp::Heat {
-                    line,
-                    metadata,
-                    timestamp,
-                } => heats.push((ticket, line, metadata, timestamp)),
                 FgOp::Verify { line } => {
-                    let result = match dev.verify_line(line) {
-                        Ok(outcome) => FgResult::Verified(outcome),
-                        Err(e) => FgResult::Failed(e),
-                    };
-                    out.push((ticket, result));
+                    self.flush_reads(dev, &mut reads, &mut out);
+                    out.push((ticket, verify_one(dev, line)));
                     self.stats.executed += 1;
                 }
             }
         }
         self.flush_reads(dev, &mut reads, &mut out);
-        self.flush_writes(dev, &mut writes, &mut out);
-        self.flush_heats(dev, &mut heats, &mut out);
         out
     }
 
@@ -381,111 +331,6 @@ impl AdmissionQueues {
             }
         }
     }
-
-    /// Coalesces a run of writes into conflict-free sweeps. Protocol
-    /// violators (targets inside heated lines) run individually first;
-    /// a repeated target address splits the group at the conflict so
-    /// last-writer-wins survives the merge.
-    fn flush_writes(
-        &mut self,
-        dev: &mut SeroDevice,
-        group: &mut Vec<StagedWrite>,
-        out: &mut Vec<(Ticket, FgResult)>,
-    ) {
-        let group = std::mem::take(group);
-        let mut clean: Vec<StagedWrite> = Vec::new();
-        let mut taken: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (ticket, pbas, data) in group {
-            let violates = pbas.iter().any(|&p| dev.line_of(p).is_some());
-            if violates {
-                out.push((ticket, write_one(dev, &pbas, &data)));
-                self.stats.executed += 1;
-                continue;
-            }
-            if pbas.iter().any(|p| taken.contains(p)) {
-                self.flush_write_subgroup(dev, std::mem::take(&mut clean), out);
-                taken.clear();
-            }
-            taken.extend(pbas.iter().copied());
-            clean.push((ticket, pbas, data));
-        }
-        self.flush_write_subgroup(dev, clean, out);
-    }
-
-    fn flush_write_subgroup(
-        &mut self,
-        dev: &mut SeroDevice,
-        clean: Vec<StagedWrite>,
-        out: &mut Vec<(Ticket, FgResult)>,
-    ) {
-        match clean.len() {
-            0 => {}
-            1 => {
-                let (ticket, pbas, data) = clean.into_iter().next().expect("len checked");
-                out.push((ticket, write_one(dev, &pbas, &data)));
-                self.stats.executed += 1;
-            }
-            _ => {
-                let mut pairs: Vec<(u64, [u8; SECTOR_DATA_BYTES])> = clean
-                    .iter()
-                    .flat_map(|(_, pbas, data)| pbas.iter().copied().zip(data.iter().copied()))
-                    .collect();
-                pairs.sort_unstable_by_key(|&(p, _)| p);
-                let pbas: Vec<u64> = pairs.iter().map(|&(p, _)| p).collect();
-                let data: Vec<[u8; SECTOR_DATA_BYTES]> = pairs.iter().map(|&(_, d)| d).collect();
-                match dev.write_blocks_sweep(&pbas, &data) {
-                    Ok(()) => {
-                        for (ticket, ..) in clean {
-                            out.push((ticket, FgResult::Written));
-                            self.stats.executed += 1;
-                            self.stats.writes_merged += 1;
-                        }
-                    }
-                    Err(_) => {
-                        // Magnetic rewrites are idempotent: re-running each
-                        // op serially converges on the serial schedule's
-                        // final state and per-op results.
-                        self.stats.fallbacks += 1;
-                        for (ticket, pbas, data) in clean {
-                            out.push((ticket, write_one(dev, &pbas, &data)));
-                            self.stats.executed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs a group of heats through [`SeroDevice::heat_lines`] — two sled
-    /// trips for the whole group, per-op results in group order.
-    fn flush_heats(
-        &mut self,
-        dev: &mut SeroDevice,
-        group: &mut Vec<(Ticket, Line, Vec<u8>, u64)>,
-        out: &mut Vec<(Ticket, FgResult)>,
-    ) {
-        let group = std::mem::take(group);
-        if group.is_empty() {
-            return;
-        }
-        let merged = group.len() > 1;
-        let tickets: Vec<Ticket> = group.iter().map(|&(t, ..)| t).collect();
-        let requests: Vec<(Line, Vec<u8>, u64)> = group
-            .into_iter()
-            .map(|(_, line, metadata, timestamp)| (line, metadata, timestamp))
-            .collect();
-        for (ticket, result) in tickets.into_iter().zip(dev.heat_lines(requests)) {
-            let result = match result {
-                Ok(payload) => FgResult::Heated(payload),
-                Err(e) => FgResult::Failed(e),
-            };
-            out.push((ticket, result));
-            self.stats.executed += 1;
-            if merged {
-                self.stats.heats_merged += 1;
-            }
-        }
-    }
 }
 
 fn read_one(dev: &mut SeroDevice, pbas: &[u64]) -> FgResult {
@@ -495,9 +340,9 @@ fn read_one(dev: &mut SeroDevice, pbas: &[u64]) -> FgResult {
     }
 }
 
-fn write_one(dev: &mut SeroDevice, pbas: &[u64], data: &[[u8; SECTOR_DATA_BYTES]]) -> FgResult {
-    match dev.write_blocks(pbas, data) {
-        Ok(()) => FgResult::Written,
+fn verify_one(dev: &mut SeroDevice, line: Line) -> FgResult {
+    match dev.verify_line(line) {
+        Ok(outcome) => FgResult::Verified(outcome),
         Err(e) => FgResult::Failed(e),
     }
 }
@@ -510,21 +355,9 @@ mod tests {
     /// serialized schedule the admission path is proven equivalent to.
     fn execute_serial(dev: &mut SeroDevice, ops: &[FgOp]) -> Vec<FgResult> {
         ops.iter()
-            .map(|op| match op.clone() {
-                FgOp::Read { pbas } => read_one(dev, &pbas),
-                FgOp::Write { pbas, data } => write_one(dev, &pbas, &data),
-                FgOp::Verify { line } => match dev.verify_line(line) {
-                    Ok(outcome) => FgResult::Verified(outcome),
-                    Err(e) => FgResult::Failed(e),
-                },
-                FgOp::Heat {
-                    line,
-                    metadata,
-                    timestamp,
-                } => match dev.heat_line(line, metadata, timestamp) {
-                    Ok(payload) => FgResult::Heated(payload),
-                    Err(e) => FgResult::Failed(e),
-                },
+            .map(|op| match op {
+                FgOp::Read { pbas } => read_one(dev, pbas),
+                FgOp::Verify { line } => verify_one(dev, *line),
             })
             .collect()
     }
@@ -565,18 +398,22 @@ mod tests {
         let mut dev = staged_device();
         let mut q = AdmissionQueues::new(128, 4);
         let r = q.submit(FgOp::Read { pbas: vec![0, 1] });
-        let w = q.submit(FgOp::Write {
-            pbas: vec![9],
-            data: vec![pattern(99)],
-        });
         let v = q.submit(FgOp::Verify {
             line: Line::new(16, 2).unwrap(),
         });
-        let results = drain(&mut q, &mut dev);
-        assert_eq!(results.len(), 3);
+        let far = q.submit(FgOp::Read { pbas: vec![33] });
+        let start = q.region_map().region_of(dev.probe().position_block());
+        let batch = q.take_batch(start);
+        let schedule: Vec<Ticket> = batch.iter().map(|&(t, _)| t).collect();
+        let results = q.execute_batch(&mut dev, batch);
+        assert_eq!(
+            results.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+            schedule,
+            "results come back in batch order"
+        );
         let by_ticket: HashMap<Ticket, &FgResult> = results.iter().map(|(t, r)| (*t, r)).collect();
         assert!(matches!(by_ticket[&r], FgResult::Data(d) if d.len() == 2));
-        assert_eq!(by_ticket[&w], &FgResult::Written);
+        assert!(matches!(by_ticket[&far], FgResult::Data(d) if d.len() == 1));
         assert!(
             matches!(
                 by_ticket[&v],
@@ -636,101 +473,6 @@ mod tests {
         assert!(matches!(by_ticket[&good], FgResult::Data(_)));
         let record = dev.heated_lines().find(|r| r.line == line).unwrap();
         assert!(record.flagged, "the refused access must flag the line");
-    }
-
-    #[test]
-    fn conflicting_writes_keep_last_writer_wins() {
-        let ops = vec![
-            FgOp::Write {
-                pbas: vec![9],
-                data: vec![pattern(1)],
-            },
-            FgOp::Write {
-                pbas: vec![10],
-                data: vec![pattern(2)],
-            },
-            FgOp::Write {
-                pbas: vec![9],
-                data: vec![pattern(3)],
-            },
-        ];
-        let mut serial_dev = staged_device();
-        execute_serial(&mut serial_dev, &ops);
-
-        let mut dev = staged_device();
-        let mut q = AdmissionQueues::new(128, 4);
-        for op in &ops {
-            q.submit(op.clone());
-        }
-        let batch = q.take_batch(0);
-        q.execute_batch(&mut dev, batch);
-        assert_eq!(dev.read_block(9).unwrap(), pattern(3), "last writer wins");
-        assert_eq!(
-            dev.read_block(9).unwrap(),
-            serial_dev.read_block(9).unwrap()
-        );
-    }
-
-    #[test]
-    fn heated_line_write_is_screened_and_flags() {
-        let mut dev = staged_device();
-        let mut q = AdmissionQueues::new(128, 4);
-        let bad = q.submit(FgOp::Write {
-            pbas: vec![33],
-            data: vec![pattern(0)],
-        });
-        let good = q.submit(FgOp::Write {
-            pbas: vec![11],
-            data: vec![pattern(4)],
-        });
-        let results = drain(&mut q, &mut dev);
-        let by_ticket: HashMap<Ticket, &FgResult> = results.iter().map(|(t, r)| (*t, r)).collect();
-        assert!(matches!(
-            by_ticket[&bad],
-            FgResult::Failed(SeroError::ReadOnly { .. })
-        ));
-        assert_eq!(by_ticket[&good], &FgResult::Written);
-        let line = Line::new(32, 2).unwrap();
-        assert!(dev.heated_lines().find(|r| r.line == line).unwrap().flagged);
-    }
-
-    #[test]
-    fn merged_heats_produce_serial_payloads() {
-        let lines = [Line::new(48, 2).unwrap(), Line::new(64, 2).unwrap()];
-        let mut serial_dev = staged_device();
-        let mut dev = staged_device();
-        for d in [&mut serial_dev, &mut dev] {
-            for line in &lines {
-                for pba in line.data_blocks() {
-                    d.write_block(pba, &pattern(line.start() as u8)).unwrap();
-                }
-            }
-        }
-        let ops: Vec<FgOp> = lines
-            .iter()
-            .map(|&line| FgOp::Heat {
-                line,
-                metadata: vec![line.start() as u8],
-                timestamp: line.start(),
-            })
-            .collect();
-        let serial = execute_serial(&mut serial_dev, &ops);
-
-        let mut q = AdmissionQueues::new(128, 4);
-        for op in &ops {
-            q.submit(op.clone());
-        }
-        let batch = q.take_batch(0);
-        let merged: Vec<FgResult> = q
-            .execute_batch(&mut dev, batch)
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
-        assert_eq!(merged, serial);
-        assert_eq!(q.stats().heats_merged, 2);
-        for line in lines {
-            assert!(dev.verify_line(line).unwrap().is_intact());
-        }
     }
 
     #[test]

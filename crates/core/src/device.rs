@@ -963,80 +963,6 @@ impl SeroDevice {
         Ok(out)
     }
 
-    /// Writes many blocks like [`SeroDevice::write_blocks`], but streams
-    /// all the extent runs in one sled sweep — the admission scheduler's
-    /// coalesced-write path. `data[i]` lands on `pbas[i]`; pass ascending
-    /// addresses for the settle-free streaming to pay off.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SeroDevice::write_blocks`]: heated-line targets
-    /// are refused (and flagged) up front; the sweep stops at the first
-    /// degraded block with the remaining blocks untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pbas` and `data` differ in length — a caller bug.
-    pub fn write_blocks_sweep(
-        &mut self,
-        pbas: &[u64],
-        data: &[[u8; SECTOR_DATA_BYTES]],
-    ) -> Result<(), SeroError> {
-        assert_eq!(
-            pbas.len(),
-            data.len(),
-            "write_blocks_sweep needs one sector per address"
-        );
-        for &pba in pbas {
-            if let Some(line) = self.line_of(pba) {
-                self.flag_line(line);
-                return Err(SeroError::ReadOnly { line, pba });
-            }
-        }
-        let t0 = self.probe.clock().elapsed_ns();
-        let runs = contiguous_runs(pbas);
-        let mut degraded: Option<(u64, usize)> = None;
-        self.probe
-            .write_block_runs_with(&runs, data, |pba, report| {
-                if report.unwritable_dots > 0 {
-                    degraded = Some((pba, report.unwritable_dots));
-                    return false;
-                }
-                true
-            })?;
-        // Recovery: rewrite the degraded block alone (magnetic writes are
-        // idempotent), then resume the sweep over the untouched tail. A
-        // block that stays degraded after its retries aborts the batch,
-        // quarantined, with the tail unwritten — as before.
-        while let Some((pba, dots)) = degraded.take() {
-            let at = pbas
-                .iter()
-                .position(|&p| p == pba)
-                .expect("degraded block is in the batch");
-            if let Err(e) = self.retry_write(pba, &data[at], dots) {
-                self.quarantine_block(pba);
-                return Err(e);
-            }
-            let tail_pbas = &pbas[at + 1..];
-            if tail_pbas.is_empty() {
-                break;
-            }
-            self.probe.write_block_runs_with(
-                &contiguous_runs(tail_pbas),
-                &data[at + 1..],
-                |pba, report| {
-                    if report.unwritable_dots > 0 {
-                        degraded = Some((pba, report.unwritable_dots));
-                        return false;
-                    }
-                    true
-                },
-            )?;
-        }
-        self.load.note(t0, self.probe.clock().elapsed_ns());
-        Ok(())
-    }
-
     /// Writes many blocks with the same protocol checks as
     /// [`SeroDevice::write_block`], batching consecutive addresses into
     /// extent transfers. `data[i]` lands on `pbas[i]`.

@@ -12,7 +12,7 @@
 //! queues drained in one elevator sweep, coalesced into bulk extent
 //! transfers. Queue depth is what makes the one-seek-per-extent
 //! machinery pay off under load: eight concurrent readers cost roughly
-//! one sled pass, not eight scattered seeks. `exp_concurrency` pins the
+//! one sled pass, not eight scattered seeks. `exp_served` pins the
 //! ratio. [`ConcurrentFs::handle`] is a window of one.
 //!
 //! # Ordering and equivalence
@@ -171,17 +171,20 @@ impl ConcurrentFs {
     pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
         let mut core = lock_ignoring_poison(&self.shared.core);
         let mut responses = Vec::with_capacity(requests.len());
-        let mut run: Vec<Request> = Vec::new();
+        let mut run: Vec<ReadClass> = Vec::new();
         for request in requests {
-            if mergeable(&request) {
-                run.push(request);
-                continue;
+            match request {
+                Request::Read { name } => run.push(ReadClass::Read(name)),
+                Request::Verify { name } => run.push(ReadClass::Verify(name)),
+                Request::ScrubTick => {
+                    core.flush_read_run(&mut run, &mut responses);
+                    responses.push(core.fs.scrub_tick_locked(Some(&self.shared.locks)));
+                }
+                other => {
+                    core.flush_read_run(&mut run, &mut responses);
+                    responses.push(core.fs.handle(other));
+                }
             }
-            core.flush_read_run(&mut run, &mut responses);
-            responses.push(match request {
-                Request::ScrubTick => core.fs.scrub_tick_locked(Some(&self.shared.locks)),
-                other => core.fs.handle(other),
-            });
         }
         core.flush_read_run(&mut run, &mut responses);
         responses
@@ -192,7 +195,7 @@ impl Core {
     /// Translates a run of read-class requests into admission ops, drains
     /// them as one elevator batch, and appends the wire responses in run
     /// order.
-    fn flush_read_run(&mut self, run: &mut Vec<Request>, responses: &mut Vec<Response>) {
+    fn flush_read_run(&mut self, run: &mut Vec<ReadClass>, responses: &mut Vec<Response>) {
         enum Plan {
             /// Waiting on an admission result; for reads, the file size to
             /// truncate the concatenated sectors to.
@@ -208,7 +211,7 @@ impl Core {
         let mut plans: Vec<Plan> = Vec::with_capacity(run.len());
         for request in run.drain(..) {
             let plan = match request {
-                Request::Read { name } => match lookup(&self.fs, &name) {
+                ReadClass::Read(name) => match lookup(&self.fs, &name) {
                     Ok(inode) => {
                         let pbas = inode.blocks.clone();
                         let size = inode.size as usize;
@@ -217,7 +220,7 @@ impl Core {
                     }
                     Err(e) => Plan::Now(Response::Error(e.into())),
                 },
-                Request::Verify { name } => match lookup(&self.fs, &name) {
+                ReadClass::Verify(name) => match lookup(&self.fs, &name) {
                     Ok(inode) => match inode.heated {
                         Some(line) => {
                             Plan::Admitted(self.admission.submit(FgOp::Verify { line }), None)
@@ -226,7 +229,6 @@ impl Core {
                     },
                     Err(e) => Plan::Now(Response::Error(e.into())),
                 },
-                other => unreachable!("only read-class requests are staged: {other:?}"),
             };
             plans.push(plan);
         }
@@ -254,8 +256,10 @@ impl Core {
     }
 }
 
-fn mergeable(request: &Request) -> bool {
-    matches!(request, Request::Read { .. } | Request::Verify { .. })
+/// A read-class request staged for admission, by file name.
+enum ReadClass {
+    Read(String),
+    Verify(String),
 }
 
 fn lookup<'a>(fs: &'a SeroFs, name: &str) -> Result<&'a crate::inode::Inode, FsError> {
@@ -294,9 +298,6 @@ fn admitted_response(outcome: FgResult, size: Option<usize>) -> Response {
             Response::Error(WireError::new(ErrorCode::TamperDetected, report))
         }
         FgResult::Failed(e) => Response::Error(WireError::from(e)),
-        FgResult::Written | FgResult::Heated(_) => {
-            unreachable!("a window only admits reads and verifies")
-        }
     }
 }
 

@@ -859,12 +859,14 @@ impl SeroFs {
         inode.blocks = blocks;
         self.inodes.insert(ino, inode);
         self.directory.insert(name.to_string(), ino);
-        // Record the file in the metadata index; an index that cannot
-        // take it (region full) fails the create cleanly — no phantom
-        // file survives in the in-memory maps.
+        // Record the file in the metadata index, inode record first: the
+        // directory entry commits the name, so an index that refuses
+        // either (region full) leaves no name without its record. The
+        // create then fails cleanly, and no phantom file survives in the
+        // in-memory maps.
         if let Err(e) = self
-            .index_record_dirent(name, ino)
-            .and_then(|()| self.index_record_file(ino, true))
+            .index_record_file(ino, true)
+            .and_then(|()| self.index_record_dirent(name, ino))
         {
             self.directory.remove(name);
             if let Some(inode) = self.inodes.remove(&ino) {
@@ -959,6 +961,9 @@ impl SeroFs {
             }
             inode.ino
         };
+        // Index first: a refused removal (region full) must not free
+        // blocks the index still maps to the name.
+        self.index_forget_file(ino, name)?;
         let inode = self.inodes.remove(&ino).expect("looked up");
         for b in inode.blocks {
             self.alloc.set_use(b, BlockUse::Dead);
@@ -970,7 +975,6 @@ impl SeroFs {
             self.alloc.set_use(loc, BlockUse::Dead);
         }
         self.directory.remove(name);
-        self.index_forget_file(ino, name)?;
         self.stats.files_removed += 1;
         Ok(())
     }

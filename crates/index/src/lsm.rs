@@ -96,6 +96,10 @@ pub struct MetaIndex {
     levels: Vec<Vec<Segment>>,
     free: Vec<(u64, u64)>,
     stats: IndexStats,
+    /// Set while a failed flush leaves the memtable owing the heap a
+    /// segment: the next mutation retries that flush before it logs
+    /// anything.
+    flush_owed: bool,
 }
 
 impl MetaIndex {
@@ -141,6 +145,7 @@ impl MetaIndex {
             levels: vec![Vec::new(); LEVELS],
             free: vec![(geom.heap_start(), geom.heap_pages())],
             stats: IndexStats::default(),
+            flush_owed: false,
         };
         index.write_manifest(store)?;
         Ok(index)
@@ -239,6 +244,7 @@ impl MetaIndex {
             levels,
             free,
             stats: IndexStats::default(),
+            flush_owed: false,
         };
         let report = index.replay_wal();
         Ok((index, report))
@@ -304,12 +310,16 @@ impl MetaIndex {
         report
     }
 
-    /// Inserts or replaces `key`.
+    /// Inserts or replaces `key`. `Ok` means the record is in the WAL; an
+    /// error means nothing was logged.
     ///
     /// # Errors
     ///
-    /// [`IndexError::Oversize`] past the entry limits; flush/compaction
-    /// errors when the write tips the memtable or WAL over.
+    /// [`IndexError::Oversize`] past the entry limits;
+    /// [`IndexError::RegionFull`] and store errors when the flush that
+    /// must make room for the record fails. Once a flush has failed,
+    /// every later mutation retries it first and fails the same way
+    /// until it succeeds.
     pub fn put<S: BlockStore>(
         &mut self,
         store: &mut S,
@@ -324,7 +334,8 @@ impl MetaIndex {
         }
         self.append_wal(store, key, Some(value))?;
         self.memtable.insert(key.to_vec(), Some(value.to_vec()));
-        self.maybe_flush(store)
+        self.maybe_flush(store);
+        Ok(())
     }
 
     /// Removes `key` (a tombstone until compaction drops it).
@@ -341,7 +352,8 @@ impl MetaIndex {
         }
         self.append_wal(store, key, None)?;
         self.memtable.insert(key.to_vec(), None);
-        self.maybe_flush(store)
+        self.maybe_flush(store);
+        Ok(())
     }
 
     /// Point lookup: memtable first, then every segment newest-first,
@@ -445,30 +457,39 @@ impl MetaIndex {
     /// levels, resets the WAL generation, and commits a new manifest.
     /// A no-op when the memtable is empty.
     ///
+    /// A flush is all or nothing. When it fails before the manifest
+    /// commits, the segments and free pages roll back to the committed
+    /// manifest and the memtable stays as it was; the untouched WAL still
+    /// holds every acknowledged record, so `get`, `scan_all` and a reopen
+    /// see them all.
+    ///
     /// # Errors
     ///
     /// [`IndexError::RegionFull`] when the heap cannot host the new
-    /// segment; store errors.
+    /// segment or a compaction output; store errors.
     pub fn flush<S: BlockStore>(&mut self, store: &mut S) -> Result<(), IndexError> {
         if self.memtable.is_empty() {
             return Ok(());
         }
-        self.stats.flushes += 1;
+        let committed = (
+            self.levels_snapshot(),
+            self.free.clone(),
+            self.seq,
+            self.wal_gen,
+        );
         let entries: Vec<Entry> = std::mem::take(&mut self.memtable).into_iter().collect();
-        let seg = self.write_segment(store, &entries, 0)?;
-        self.levels[0].push(seg);
-
-        let mut pending_free: Vec<(u64, u64)> = Vec::new();
-        if self.levels[0].len() > LEVEL_FANOUT {
-            self.compact(store, 0, &mut pending_free)?;
-            if self.levels[1].len() > LEVEL_FANOUT {
-                self.compact(store, 1, &mut pending_free)?;
+        let pending_free = match self.write_flush(store, &entries) {
+            Ok(pending_free) => pending_free,
+            Err(e) => {
+                (self.levels, self.free, self.seq, self.wal_gen) = committed;
+                self.memtable = entries.into_iter().collect();
+                self.flush_owed = true;
+                return Err(e);
             }
-        }
-
-        self.wal_gen += 1;
+        };
+        self.stats.flushes += 1;
+        self.flush_owed = false;
         self.wal_off = 0;
-        self.write_manifest(store)?;
         // With the manifest committed, zero the WAL so stale frames from
         // the retired generation can never sit past the new tail. Replay
         // would stop at them anyway (generation mismatch), but a fresh
@@ -488,6 +509,46 @@ impl MetaIndex {
             self.free_extent(start, pages);
         }
         Ok(())
+    }
+
+    /// The pre-commit half of [`MetaIndex::flush`]: writes `entries` as a
+    /// level-0 segment, compacts overflowing levels, and commits the
+    /// manifest of the next WAL generation. Returns the extents the new
+    /// manifest retired.
+    fn write_flush<S: BlockStore>(
+        &mut self,
+        store: &mut S,
+        entries: &[Entry],
+    ) -> Result<Vec<(u64, u64)>, IndexError> {
+        let seg = self.write_segment(store, entries, 0)?;
+        self.levels[0].push(seg);
+        let mut pending_free: Vec<(u64, u64)> = Vec::new();
+        if self.levels[0].len() > LEVEL_FANOUT {
+            self.compact(store, 0, &mut pending_free)?;
+            if self.levels[1].len() > LEVEL_FANOUT {
+                self.compact(store, 1, &mut pending_free)?;
+            }
+        }
+        self.wal_gen += 1;
+        self.write_manifest(store)?;
+        Ok(pending_free)
+    }
+
+    /// The segment lists without their cached headers: the cheap
+    /// snapshot a failed flush rolls back to.
+    fn levels_snapshot(&self) -> Vec<Vec<Segment>> {
+        self.levels
+            .iter()
+            .map(|level| {
+                level
+                    .iter()
+                    .map(|seg| Segment {
+                        header: None,
+                        ..*seg
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Work counters.
@@ -534,14 +595,17 @@ impl MetaIndex {
         self.levels.iter().flatten().map(|s| s.entry_count).sum()
     }
 
-    fn maybe_flush<S: BlockStore>(&mut self, store: &mut S) -> Result<(), IndexError> {
+    /// Flushes a full memtable. The mutation that filled it is already
+    /// durable in the WAL, so a failed flush is not that mutation's
+    /// error: the flush stays owed and the next mutation retries it.
+    fn maybe_flush<S: BlockStore>(&mut self, store: &mut S) {
         if self.memtable.len() >= MEMTABLE_MAX_ENTRIES {
-            self.flush(store)?;
+            let _ = self.flush(store);
         }
-        Ok(())
     }
 
-    /// Appends one record, flushing first when the WAL region is full.
+    /// Appends one record, flushing first when a flush is owed or the WAL
+    /// region is full. Logs nothing on error.
     fn append_wal<S: BlockStore>(
         &mut self,
         store: &mut S,
@@ -550,10 +614,15 @@ impl MetaIndex {
     ) -> Result<(), IndexError> {
         let vlen = value.map_or(0, <[u8]>::len);
         let total = WAL_RECORD_OVERHEAD + key.len() + vlen;
-        if self.wal_off + total > self.wal_buf.len() {
+        if self.flush_owed || self.wal_off + total > self.wal_buf.len() {
             self.flush(store)?;
         }
-        debug_assert!(self.wal_off + total <= self.wal_buf.len());
+        if self.wal_off + total > self.wal_buf.len() {
+            return Err(IndexError::RegionFull {
+                needed_pages: total.div_ceil(PAGE_BYTES) as u64,
+                free_pages: ((self.wal_buf.len() - self.wal_off) / PAGE_BYTES) as u64,
+            });
+        }
         let off = self.wal_off;
         self.wal_buf[off..off + 4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
         self.wal_buf[off + 4..off + 12].copy_from_slice(&self.wal_gen.to_le_bytes());
@@ -995,6 +1064,48 @@ mod tests {
             }
         }
         assert!(matches!(err, Some(IndexError::RegionFull { .. })));
+    }
+
+    #[test]
+    fn full_region_keeps_every_acknowledged_entry() {
+        let (mut store, mut index) = fresh(64);
+        let value = |i: u32| vec![(i % 251) as u8; 60];
+        let mut acked: Vec<u32> = Vec::new();
+        let first_err = loop {
+            let i = acked.len() as u32;
+            assert!(i < 100_000, "a 64-page region must fill");
+            match index.put(&mut store, &key(i), &value(i)) {
+                Ok(()) => acked.push(i),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            matches!(first_err, IndexError::RegionFull { .. }),
+            "{first_err:?}"
+        );
+
+        // Every later mutation fails typed and logs nothing.
+        let wal = index.wal_bytes();
+        for i in 0..8 {
+            let put = index.put(&mut store, &key(900_000 + i), &value(i));
+            assert!(matches!(put, Err(IndexError::RegionFull { .. })), "{put:?}");
+            let delete = index.delete(&mut store, &key(acked[i as usize]));
+            assert!(
+                matches!(delete, Err(IndexError::RegionFull { .. })),
+                "{delete:?}"
+            );
+        }
+        assert_eq!(index.wal_bytes(), wal);
+
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = acked.iter().map(|&i| (key(i), value(i))).collect();
+        let geom = IndexGeometry::for_pages(64).unwrap();
+        let (mut reopened, _) = MetaIndex::open(&mut store, geom).unwrap();
+        for index in [&mut index, &mut reopened] {
+            for (k, v) in &expected {
+                assert_eq!(index.get(&mut store, k).unwrap().as_ref(), Some(v));
+            }
+            assert_eq!(index.scan_all(&mut store).unwrap(), expected);
+        }
     }
 
     #[test]

@@ -224,67 +224,6 @@ impl ProbeDevice {
         }
         Ok(())
     }
-
-    /// Streams several ascending extent runs of writes in one sweep — the
-    /// write-side twin of [`ProbeDevice::read_block_runs_with`]. `blocks`
-    /// carries the concatenated payloads of every run, in run order; `sink`
-    /// receives each block's [`WriteReport`] and returns `false` to stop
-    /// the sweep with the remaining blocks untouched and uncharged.
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when any run exceeds the device (checked
-    /// up front).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `blocks` does not carry exactly one payload per run
-    /// block — a caller bug, not a device condition.
-    pub fn write_block_runs_with<F>(
-        &mut self,
-        runs: &[(u64, u64)],
-        blocks: &[[u8; SECTOR_DATA_BYTES]],
-        mut sink: F,
-    ) -> Result<(), SectorError>
-    where
-        F: FnMut(u64, WriteReport) -> bool,
-    {
-        let total: u64 = runs.iter().map(|&(_, c)| c).sum();
-        assert_eq!(
-            total as usize,
-            blocks.len(),
-            "write_block_runs_with needs one payload per block"
-        );
-        for &(start, count) in runs {
-            self.check_extent(start, count)?;
-        }
-        let mut offset = 0usize;
-        let mut first = true;
-        for &(start, count) in runs {
-            if count == 0 {
-                continue;
-            }
-            if first {
-                self.seek_block(start);
-                first = false;
-            } else {
-                self.stream_to_block(start);
-            }
-            for (i, data) in blocks[offset..offset + count as usize].iter().enumerate() {
-                let pba = start + i as u64;
-                if i > 0 {
-                    let ns = self.actuator.step_row();
-                    self.clock.advance(ns);
-                }
-                let report = self.write_sector_here(pba, 0, data);
-                if !sink(pba, report) {
-                    return Ok(());
-                }
-            }
-            offset += count as usize;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -452,27 +391,6 @@ mod tests {
             sweep_ns < per_run_ns,
             "sweep {sweep_ns} ns should beat per-run seeks {per_run_ns} ns"
         );
-    }
-
-    #[test]
-    fn run_sweep_write_round_trips_and_stops_early() {
-        let mut dev = device(64);
-        let runs = [(2u64, 2u64), (10, 3)];
-        let blocks: Vec<[u8; SECTOR_DATA_BYTES]> = (0..5).map(payload).collect();
-        dev.write_block_runs_with(&runs, &blocks, |_, _| true)
-            .unwrap();
-        assert_eq!(dev.mrs(2).unwrap().data, payload(0));
-        assert_eq!(dev.mrs(11).unwrap().data, payload(3));
-
-        // Early stop leaves trailing blocks untouched and uncharged.
-        let before = dev.counters().mws;
-        let mut seen = 0;
-        dev.write_block_runs_with(&runs, &blocks, |_, _| {
-            seen += 1;
-            seen < 2
-        })
-        .unwrap();
-        assert_eq!(dev.counters().mws - before, 2);
     }
 
     #[test]

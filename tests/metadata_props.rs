@@ -285,3 +285,74 @@ proptest! {
         }
     }
 }
+
+/// A full index region is a typed `NoSpace`, never a lost entry or a
+/// panic. After the first refusal, creates, removes and syncs answer
+/// typed errors (or succeed), every acknowledged name still resolves
+/// through the index, a refused name never does, and the device still
+/// mounts with every name that a successful sync made durable. Short
+/// and 45-byte names fill the region at different records of a create.
+#[test]
+fn full_index_region_refuses_typed_and_keeps_acknowledged_names() {
+    for pad in [0, 39] {
+        fill_index_region(|i| format!("{i:05}-{}", "n".repeat(pad)));
+    }
+}
+
+/// True for `Ok`, false for the typed `NoSpace`; panics on anything else.
+fn accepted<T>(r: Result<T, FsError>) -> bool {
+    match r {
+        Ok(_) => true,
+        Err(FsError::NoSpace { .. }) => false,
+        Err(e) => panic!("untyped failure after the index filled: {e}"),
+    }
+}
+
+fn fill_index_region(name: impl Fn(usize) -> String) {
+    let mut fs = SeroFs::format(SeroDevice::with_blocks(4096), FsConfig::indexed()).unwrap();
+    let payload = |i: usize| vec![i as u8; 300];
+    let mut created: Vec<String> = Vec::new();
+    let mut durable = 0;
+    loop {
+        let i = created.len();
+        assert!(i < 10_000, "the index region must fill");
+        if !accepted(fs.create(&name(i), &payload(i), WriteClass::Normal)) {
+            assert!(fs.index_lookup(&name(i)).unwrap().is_none());
+            break;
+        }
+        created.push(name(i));
+        if created.len() % 8 == 0 {
+            if !accepted(fs.sync()) {
+                break;
+            }
+            durable = created.len();
+        }
+    }
+    assert!(durable >= 8, "the region filled before the first sync");
+
+    for (i, n) in created.iter().enumerate() {
+        assert!(fs.index_lookup(n).unwrap().is_some(), "{n} lost");
+        assert_eq!(fs.read(n).unwrap(), payload(i));
+    }
+    let mut removed = BTreeSet::new();
+    for i in 0..4 {
+        let extra = name(created.len() + 1 + i);
+        accepted(fs.create(&extra, &payload(i), WriteClass::Normal));
+        if accepted(fs.remove(&created[i])) {
+            removed.insert(created[i].clone());
+        } else {
+            assert_eq!(fs.read(&created[i]).unwrap(), payload(i));
+        }
+        accepted(fs.sync());
+    }
+
+    let mut remounted = SeroFs::mount(fs.device().clone()).unwrap();
+    for n in remounted.list() {
+        assert!(created.contains(&n), "phantom {n} after remount");
+    }
+    for (i, n) in created.iter().enumerate().take(durable) {
+        if !removed.contains(n) {
+            assert_eq!(remounted.read(n).unwrap(), payload(i), "{n} after remount");
+        }
+    }
+}

@@ -1,9 +1,10 @@
-//! Property tests for incremental frame reassembly, plus the reactor's
-//! stalled-peer regression. The reactor reads whatever byte chunks the
-//! kernel hands it — a one-byte drip, splits exactly on the magic /
-//! header / CRC boundaries, or several frames coalesced into one read —
-//! and the [`FrameAssembler`] must decode the identical frame sequence a
-//! whole-buffer decoder would, without ever panicking.
+//! Property tests for incremental frame reassembly, plus two reactor
+//! checks: the stalled-peer regression and window formation. The reactor
+//! reads whatever byte chunks the kernel hands it — a one-byte drip,
+//! splits exactly on the magic / header / CRC boundaries, or several
+//! frames coalesced into one read — and the [`FrameAssembler`] must
+//! decode the identical frame sequence a whole-buffer decoder would,
+//! without ever panicking.
 
 use proptest::prelude::*;
 use sero::proto::frame::{
@@ -240,4 +241,82 @@ fn stalled_mid_frame_peer_is_reaped_without_pinning_others() {
     }
 
     handle.shutdown();
+}
+
+/// n pipelined clients form one depth-n admission window. Every client
+/// writes its `Read` frame before the reactor starts, so the first sweep
+/// accepts and reads all n and dispatches them as a single
+/// `handle_batch`. That window must cost the device exactly what
+/// in-process `handle_batch` of the same requests costs a twin, and
+/// answer the same.
+#[test]
+fn pipelined_clients_form_one_admission_window() {
+    use sero::proto::frame::{read_frame, write_frame};
+    use sero::proto::{Response, WireClass};
+    use sero_core::device::SeroDevice;
+    use sero_fs::concurrent::ConcurrentFs;
+    use sero_fs::fs::{FsConfig, SeroFs};
+
+    let build = || {
+        let fs = SeroFs::format(SeroDevice::with_blocks(1024), FsConfig::default()).unwrap();
+        let cfs = ConcurrentFs::new(fs);
+        for i in 0..32u8 {
+            let resp = cfs.handle(Request::Create {
+                name: format!("f{i:02}"),
+                data: vec![i; 700],
+                class: WireClass::Normal,
+            });
+            assert!(matches!(resp, Response::Created { .. }), "{resp:?}");
+        }
+        cfs.with_fs(|fs| fs.device_mut().probe_mut().park_at(0));
+        cfs
+    };
+    let clock = |cfs: &ConcurrentFs| cfs.with_fs(|fs| fs.device().probe().clock().elapsed_ns());
+
+    for n in [1usize, 2, 4, 8, 16] {
+        let requests: Vec<Request> = (0..n)
+            .map(|i| Request::Read {
+                name: format!("f{:02}", (i * 7) % 32),
+            })
+            .collect();
+        let cfs = build();
+        let server =
+            SeroServer::bind_shared("127.0.0.1:0", cfs.clone(), ServerConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let mut clients: Vec<TcpStream> = requests
+            .iter()
+            .map(|req| {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                write_frame(&mut conn, FrameKind::Request, &req.encode()).unwrap();
+                conn
+            })
+            .collect();
+        let (before, start) = (cfs.admission_stats(), clock(&cfs));
+        let handle = server.spawn().unwrap();
+        let served: Vec<Response> = clients
+            .iter_mut()
+            .map(|conn| {
+                let (_, payload) = read_frame(conn).unwrap().expect("a response");
+                Response::decode(&payload).unwrap()
+            })
+            .collect();
+        let (after, elapsed) = (cfs.admission_stats(), clock(&cfs) - start);
+        drop(clients);
+        handle.shutdown();
+        assert_eq!(
+            (
+                after.batches - before.batches,
+                after.submitted - before.submitted
+            ),
+            (1, n as u64),
+            "{n} pipelined clients must form exactly one depth-{n} admission window"
+        );
+
+        let twin = build();
+        let twin_start = clock(&twin);
+        assert_eq!(served, twin.handle_batch(requests), "window of {n}");
+        assert_eq!(elapsed, clock(&twin) - twin_start, "window of {n}");
+    }
 }
