@@ -37,9 +37,9 @@ use sero_bench::{
     trace_out_path,
 };
 use sero_core::device::SeroDevice;
-use sero_core::fleet::{FleetConfig, FleetSliceOutcome};
+use sero_core::fleet::{FleetConfig, FleetScheduler, FleetSliceOutcome};
 use sero_core::scrub::{ScrubConfig, ScrubReport};
-use sero_fs::fs::{FleetScrub, FsConfig, SeroFs};
+use sero_fs::fs::{FsConfig, SeroFs};
 use sero_workload::MixedTrafficWorkload;
 use std::time::Instant;
 
@@ -82,7 +82,7 @@ struct PhaseResult {
 fn run_phase(
     fleet: &mut [SeroFs],
     traffic: &[Vec<sero_workload::Op>],
-    mut scrub: Option<&mut FleetScrub>,
+    mut scrub: Option<&mut FleetScheduler>,
     config: &FleetConfig,
 ) -> PhaseResult {
     let ops = traffic[0].len();
@@ -91,7 +91,7 @@ fn run_phase(
     let mut scrub_started: Vec<Option<u128>> = vec![None; DEVICES];
     let mut done_ns: Vec<Option<u128>> = vec![None; DEVICES];
 
-    let note_done = |sc: &FleetScrub,
+    let note_done = |sc: &FleetScheduler,
                      fleet: &[SeroFs],
                      started: &[Option<u128>],
                      done: &mut Vec<Option<u128>>| {
@@ -110,7 +110,8 @@ fn run_phase(
     #[allow(clippy::needless_range_loop)]
     for i in 0..ops {
         if let Some(sc) = scrub.as_deref_mut().filter(|_| i >= SCRUB_START_OP) {
-            sc.retune(fleet);
+            let loads: Vec<_> = fleet.iter().map(|fs| *fs.device().load_probe()).collect();
+            sc.retune(&loads);
         }
         for d in 0..DEVICES {
             let arrival = t_start[d] + (i as u128 + 1) * INTERARRIVAL_NS as u128;
@@ -118,7 +119,7 @@ fn run_phase(
                 scrub_started[d].get_or_insert_with(|| clock(&fleet[d]));
                 while !sc.is_complete() && clock(&fleet[d]) < arrival {
                     match sc
-                        .tick_member(d, &mut fleet[d])
+                        .tick_member(d, fleet[d].as_mut())
                         .expect("fleet slice failed")
                     {
                         FleetSliceOutcome::Ran { .. } => {}
@@ -252,7 +253,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- phase 2: coordinated fleet scrub --------------------------------
     let mut fleet_on = base.clone();
-    let mut scrub = SeroFs::fleet_scrub(&fleet_on, config)?;
+    let mut scrub = FleetScheduler::start(fleet_on.iter().map(SeroFs::device), config)?;
     let host_fleet = Instant::now();
     let fleet = run_phase(&mut fleet_on, &traffic, Some(&mut scrub), &config);
     let fleet_host_ms = host_fleet.elapsed().as_secs_f64() * 1e3;
@@ -260,7 +261,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every pass completed, staggered under the ceiling, with evidence
     // identical to the exclusive per-device passes.
     assert!(scrub.is_complete());
-    let peak = scrub.scheduler().peak_active();
+    let peak = scrub.peak_active();
     assert!(
         peak <= MAX_CONCURRENT,
         "stagger ceiling breached: {peak} concurrent passes"
@@ -392,7 +393,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tails — a CI artifact for humans, never compared.
     let members: Vec<Json> = (0..DEVICES)
         .map(|d| {
-            let progress = scrub.scheduler().member_progress(d).expect("admitted");
+            let progress = scrub.member_progress(d).expect("admitted");
             Json::obj()
                 .set("member", d)
                 .set("flagged", u64::from(d == VICTIM))

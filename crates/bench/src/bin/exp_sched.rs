@@ -35,8 +35,8 @@ use sero_bench::{
     trace_out_path,
 };
 use sero_core::device::SeroDevice;
-use sero_core::sched::{SchedConfig, SliceOutcome};
-use sero_fs::fs::{BackgroundScrub, FsConfig, SeroFs};
+use sero_core::sched::{SchedConfig, ScrubScheduler, SliceOutcome};
+use sero_fs::fs::{FsConfig, SeroFs};
 use sero_workload::MixedTrafficWorkload;
 use std::time::Instant;
 
@@ -77,14 +77,14 @@ struct PhaseResult {
 fn run_phase(
     fs: &mut SeroFs,
     traffic: &[sero_workload::Op],
-    mut scrub: Option<&mut BackgroundScrub>,
+    mut scrub: Option<&mut ScrubScheduler>,
 ) -> PhaseResult {
     let t_start = clock(fs);
     let mut latencies = Vec::with_capacity(traffic.len());
     let mut scrub_started_at: Option<u128> = None;
     let mut scrub_done_ns = None;
 
-    let note_done = |fs: &SeroFs, bg: &BackgroundScrub, started: u128, done: &mut Option<u128>| {
+    let note_done = |fs: &SeroFs, bg: &ScrubScheduler, started: u128, done: &mut Option<u128>| {
         if bg.is_complete() && done.is_none() {
             *done = Some(clock(fs) - started);
         }
@@ -97,7 +97,7 @@ fn run_phase(
             // Grant slices while the device would otherwise idle. A slice
             // may overrun the next arrival — that request then waits.
             while !bg.is_complete() && clock(fs) < arrival {
-                match bg.tick(fs).expect("scrub slice failed") {
+                match bg.run_slice(fs.as_mut()).expect("scrub slice failed") {
                     SliceOutcome::Ran { .. } => {}
                     SliceOutcome::Throttled { resume_at_ns } => {
                         if resume_at_ns >= arrival {
@@ -121,7 +121,7 @@ fn run_phase(
     if let Some(bg) = scrub {
         let started = *scrub_started_at.get_or_insert_with(|| clock(fs));
         while !bg.is_complete() {
-            match bg.tick(fs).expect("scrub slice failed") {
+            match bg.run_slice(fs.as_mut()).expect("scrub slice failed") {
                 SliceOutcome::Ran { .. } => {}
                 SliceOutcome::Throttled { resume_at_ns } => idle_until(fs, resume_at_ns),
                 SliceOutcome::Paused | SliceOutcome::Idle => break,
@@ -130,7 +130,7 @@ fn run_phase(
         note_done(fs, bg, started, &mut scrub_done_ns);
         let progress = bg.progress();
         slices = progress.slices;
-        throttled = bg.scheduler().throttled_ticks();
+        throttled = bg.throttled_ticks();
         lines_verified = progress.verified;
         tampered = progress.tampered;
     }
@@ -194,7 +194,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- phase 2: greedy (stop-the-world in the first idle gap) ----------
     let mut fs_greedy = base.clone();
-    let mut greedy_scrub = fs_greedy.scrub_background(SchedConfig::greedy());
+    let mut greedy_scrub = ScrubScheduler::start(fs_greedy.device(), SchedConfig::greedy());
     let host_greedy = Instant::now();
     let greedy = run_phase(&mut fs_greedy, &traffic, Some(&mut greedy_scrub));
     let greedy_host_ms = host_greedy.elapsed().as_secs_f64() * 1e3;
@@ -202,7 +202,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- phase 3: budgeted slices on a duty cycle ------------------------
     let mut fs_budget = base.clone();
-    let mut budget_scrub = fs_budget.scrub_background(
+    let mut budget_scrub = ScrubScheduler::start(
+        fs_budget.device(),
         SchedConfig::budgeted(BUDGET_NS, QUANTUM_NS).expect("static knobs are valid"),
     );
     let host_budget = Instant::now();

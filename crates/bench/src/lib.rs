@@ -87,7 +87,7 @@
 //!   forged + shredded evidence), `crawl_seeks` / `batched_seeks`.
 //! * `bench = "fleet"` — foreground and detection latency under
 //!   fleet-coordinated scrub ([`sero_core::fleet::FleetScheduler`] over 4
-//!   devices via [`sero_fs::fs::SeroFs::fleet_scrub`], staggered passes +
+//!   mounted file systems, staggered passes +
 //!   adaptive budgets from each device's
 //!   [`sero_core::device::LoadProbe`]): `p50_off_us` / `p99_off_us`
 //!   (no-scrub baseline, latencies pooled across the fleet),
@@ -102,8 +102,8 @@
 //!   `tampered` (the planted evidence, byte-identical to exclusive
 //!   per-device passes, asserted).
 //! * `bench = "sched"` — foreground latency under background scrub
-//!   ([`sero_core::sched::ScrubScheduler`] driven through
-//!   [`sero_fs::fs::SeroFs::scrub_background`] by mixed open-loop
+//!   ([`sero_core::sched::ScrubScheduler`] driven over a mounted
+//!   [`sero_fs::fs::SeroFs`] between requests of mixed open-loop
 //!   traffic): `p50_off_us` / `p99_off_us` (no scrub baseline),
 //!   `p99_greedy_us` (stop-the-world pass), `p50_budgeted_us` /
 //!   `p99_budgeted_us` (budgeted slices), `p99_budgeted_over_off` (the

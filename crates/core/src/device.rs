@@ -576,10 +576,8 @@ impl SeroDevice {
     /// The registry itself is recovered from the *medium* (the hash-block
     /// payloads are physically self-describing), but those payloads are
     /// burned once and immutable, so the mutable scrub bookkeeping has to
-    /// live elsewhere: callers embed this record in rewritable WMRM
-    /// storage — the file system's checkpoint
-    /// (`sero-fs`), or a raw region via
-    /// [`crate::journal::ScrubStateStore`] — and feed it back through
+    /// live elsewhere: `sero-fs` embeds this record in its rewritable
+    /// WMRM checkpoint and feeds it back through
     /// [`SeroDevice::import_scrub_state`] after a remount, so the next
     /// incremental scrub resumes from the persisted delta instead of
     /// falling back to a full pass.
@@ -1654,6 +1652,14 @@ impl SeroDevice {
         }
         self.collect_overlaps(&mut result);
         Ok(result)
+    }
+}
+
+/// The identity lend, so [`crate::fleet::FleetScheduler`] drives bare
+/// devices and anything wrapping one through the same loop.
+impl AsMut<SeroDevice> for SeroDevice {
+    fn as_mut(&mut self) -> &mut SeroDevice {
+        self
     }
 }
 

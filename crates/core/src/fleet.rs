@@ -637,27 +637,29 @@ impl FleetScheduler {
 
     /// One fleet round: samples every device's load probe, re-divides
     /// the global budget, then grants each member one slice in priority
-    /// order. `devs` must be the full fleet in start order.
+    /// order. `devs` must be the full fleet in start order: bare
+    /// [`SeroDevice`]s, or anything that lends one out through
+    /// [`AsMut`] (a mounted `sero-fs` file system does).
     ///
     /// # Errors
     ///
     /// The first infrastructure failure aborts the round; members not
     /// yet ticked simply run next round.
-    pub fn tick(
+    pub fn tick<D: AsMut<SeroDevice>>(
         &mut self,
-        devs: &mut [SeroDevice],
+        devs: &mut [D],
     ) -> Result<Vec<(usize, FleetSliceOutcome)>, SeroError> {
         assert_eq!(
             devs.len(),
             self.members.len(),
             "tick needs the full fleet in start order"
         );
-        let loads: Vec<LoadProbe> = devs.iter().map(|d| *d.load_probe()).collect();
+        let loads: Vec<LoadProbe> = devs.iter_mut().map(|d| *d.as_mut().load_probe()).collect();
         self.retune(&loads);
         let order = self.order.clone();
         let mut outcomes = Vec::with_capacity(order.len());
         for &i in &order {
-            outcomes.push((i, self.tick_member(i, &mut devs[i])?));
+            outcomes.push((i, self.tick_member(i, devs[i].as_mut())?));
         }
         Ok(outcomes)
     }
@@ -671,28 +673,30 @@ impl FleetScheduler {
     /// # Errors
     ///
     /// Infrastructure failures from any member slice.
-    pub fn run_to_completion(&mut self, devs: &mut [SeroDevice]) -> Result<(), SeroError> {
+    pub fn run_to_completion<D: AsMut<SeroDevice>>(
+        &mut self,
+        devs: &mut [D],
+    ) -> Result<(), SeroError> {
         let mut guard = 0usize;
         while !self.is_complete() {
             guard += 1;
             assert!(guard < 1_000_000, "fleet scheduler failed to converge");
             let mut progressed = false;
             for (i, outcome) in self.tick(devs)? {
+                let dev = devs[i].as_mut();
                 match outcome {
                     FleetSliceOutcome::Ran { .. } => progressed = true,
                     FleetSliceOutcome::Throttled { resume_at_ns } => {
-                        let now = devs[i].probe().clock().elapsed_ns();
+                        let now = dev.probe().clock().elapsed_ns();
                         if resume_at_ns > now {
-                            devs[i]
-                                .probe_mut()
-                                .advance_clock((resume_at_ns - now) as u64);
+                            dev.probe_mut().advance_clock((resume_at_ns - now) as u64);
                         }
                         progressed = true;
                     }
                     FleetSliceOutcome::Starved => {
                         // The device idles a quantum while peers hold the
                         // whole global budget; completion frees it.
-                        devs[i].probe_mut().advance_clock(self.config.quantum_ns);
+                        dev.probe_mut().advance_clock(self.config.quantum_ns);
                         progressed = true;
                     }
                     FleetSliceOutcome::Waiting

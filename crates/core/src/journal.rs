@@ -28,7 +28,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::device::{ScrubStateRestore, SeroDevice, SeroError};
+use crate::device::{SeroDevice, SeroError};
 use crate::line::{Line, LineError};
 use crate::scrub::ScrubSummary;
 use core::fmt;
@@ -382,163 +382,16 @@ impl InstructionJournal {
     }
 }
 
-/// Magic framing a [`ScrubStateStore`] region ("SSST" truncated).
-const SCRUB_STORE_MAGIC: u32 = 0x53535354;
-
-/// A rewritable WMRM home for the device's scrub bookkeeping.
-///
-/// Registry *membership* is recovered from the burned hash blocks, but
-/// the mutable scrub bookkeeping (completed-pass epoch, per-line
-/// `verified_epoch`/`flagged`) lives in volatile memory — PR 3's open
-/// ROADMAP item: a detach forgot it, so every remount fell back to a
-/// full pass. This store persists
-/// [`SeroDevice::export_scrub_state`] into a reserved magnetic region
-/// (magnetic writes stay rewritable, so the record can be refreshed
-/// after every pass) and feeds it back through
-/// [`SeroDevice::import_scrub_state`] on attach. `SeroFs` embeds the
-/// same record in its checkpoint instead; this store is for raw-device
-/// deployments (and keeps the two paths honest against each other in
-/// the cross-layer property tests).
-///
-/// # Examples
-///
-/// ```
-/// use sero_core::device::SeroDevice;
-/// use sero_core::journal::ScrubStateStore;
-/// use sero_core::line::Line;
-/// use sero_core::scrub::{scrub_device, ScrubConfig};
-///
-/// let mut dev = SeroDevice::with_blocks(64);
-/// let line = Line::new(0, 3)?;
-/// for pba in line.data_blocks() {
-///     dev.write_block(pba, &[7u8; 512])?;
-/// }
-/// dev.heat_line(line, vec![], 0)?;
-/// scrub_device(&mut dev, &ScrubConfig::with_workers(1))?;
-///
-/// let store = ScrubStateStore::new(32, 4)?;
-/// store.save(&mut dev)?;
-/// dev.forget_registry(); // detach
-/// dev.rebuild_registry()?; // attach
-/// let restore = store.load(&mut dev)?.expect("state present");
-/// assert_eq!(restore.restored, 1);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScrubStateStore {
-    region_start: u64,
-    region_blocks: u64,
-}
-
-impl ScrubStateStore {
-    /// A store over `region_blocks` WMRM blocks starting at
-    /// `region_start`.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::BadRegion`] for an empty region.
-    pub fn new(region_start: u64, region_blocks: u64) -> Result<ScrubStateStore, JournalError> {
-        if region_blocks == 0 {
-            return Err(JournalError::BadRegion {
-                reason: "scrub-state region needs at least one block".to_string(),
-            });
-        }
-        Ok(ScrubStateStore {
-            region_start,
-            region_blocks,
-        })
-    }
-
-    /// Bytes of scrub state the region can frame.
-    pub fn capacity(&self) -> usize {
-        self.region_blocks as usize * SECTOR_DATA_BYTES - 8
-    }
-
-    /// Serializes the device's scrub bookkeeping into the region
-    /// (framed as magic ‖ length ‖ record, chunked into blocks). Call
-    /// after every completed pass — magnetic writes are rewritable, so
-    /// each save replaces the last.
-    ///
-    /// # Errors
-    ///
-    /// [`JournalError::BadRegion`] when the record outgrows the region;
-    /// device errors (the region must stay WMRM — a heated block inside
-    /// it refuses the write).
-    pub fn save(&self, dev: &mut SeroDevice) -> Result<(), JournalError> {
-        let state = dev.export_scrub_state();
-        if state.len() > self.capacity() {
-            return Err(JournalError::BadRegion {
-                reason: format!(
-                    "scrub state of {} bytes exceeds region capacity {}",
-                    state.len(),
-                    self.capacity()
-                ),
-            });
-        }
-        let mut framed = Vec::with_capacity(8 + state.len());
-        framed.extend_from_slice(&SCRUB_STORE_MAGIC.to_le_bytes());
-        framed.extend_from_slice(&(state.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&state);
-        let blocks_needed = framed.len().div_ceil(SECTOR_DATA_BYTES) as u64;
-        let pbas: Vec<u64> = (self.region_start..self.region_start + blocks_needed).collect();
-        let mut sectors = Vec::with_capacity(pbas.len());
-        for chunk in framed.chunks(SECTOR_DATA_BYTES) {
-            let mut sector = [0u8; SECTOR_DATA_BYTES];
-            sector[..chunk.len()].copy_from_slice(chunk);
-            sectors.push(sector);
-        }
-        dev.write_blocks(&pbas, &sectors)?;
-        Ok(())
-    }
-
-    /// Reads the region and applies any persisted scrub state to the
-    /// (already populated) registry. `Ok(None)` means the region holds no
-    /// state — a fresh device; the next pass simply runs full.
-    ///
-    /// # Errors
-    ///
-    /// Device errors, and [`SeroError::BadScrubState`] (wrapped) for a
-    /// region that frames a record which then fails its own CRC — loud,
-    /// because a half-written or vandalised record is worth knowing
-    /// about even though the safe fallback is just a full pass.
-    pub fn load(&self, dev: &mut SeroDevice) -> Result<Option<ScrubStateRestore>, JournalError> {
-        let first = match dev.read_block(self.region_start) {
-            Ok(data) => data,
-            // A virgin region decodes as noise, not as a sector — that is
-            // simply "no state yet", not an error.
-            Err(SeroError::Sector(_)) => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        if u32::from_le_bytes(first[..4].try_into().expect("4")) != SCRUB_STORE_MAGIC {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(first[4..8].try_into().expect("4")) as usize;
-        if len > self.capacity() {
-            return Ok(None);
-        }
-        let mut framed = first[8..].to_vec();
-        let mut next = self.region_start + 1;
-        while framed.len() < len {
-            framed.extend_from_slice(&dev.read_block(next)?);
-            next += 1;
-        }
-        framed.truncate(len);
-        Ok(Some(dev.import_scrub_state(&framed)?))
-    }
-}
-
 /// A bounds-checked pager over a reserved WMRM block range — the
-/// rewritable journal-region primitive under record stores like
-/// [`ScrubStateStore`] and the fs metadata index's WAL/segment region.
+/// rewritable journal-region primitive under the fs metadata index's
+/// WAL/segment region.
 ///
 /// The one semantic it adds over raw block access: *virgin sectors read
 /// as zeros*. A patterned-media sector that was never magnetically
 /// written decodes as noise ([`SeroError::Sector`]); for a journal
 /// region that is simply "nothing here yet", so this pager maps it to a
-/// zero page instead of an error — exactly as [`ScrubStateStore::load`]
-/// treats its first virgin block as "no state". Every other device
-/// failure (a heated block inside the region, out-of-range addresses)
-/// stays loud.
+/// zero page instead of an error. Every other device failure (a heated
+/// block inside the region, out-of-range addresses) stays loud.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WmrmRegion {
     start: u64,
@@ -771,57 +624,6 @@ mod tests {
         assert_eq!(replayed[0].actor, "scrub");
         assert!(replayed[0].operation.starts_with("SCRUB epoch=1"));
         assert!(replayed[0].operation.contains("verified=1"));
-    }
-
-    #[test]
-    fn scrub_state_store_persists_the_delta_across_detach() {
-        let mut dev = SeroDevice::with_blocks(96);
-        let store = ScrubStateStore::new(64, 8).unwrap();
-        let lines = [Line::new(0, 3).unwrap(), Line::new(16, 3).unwrap()];
-        for &line in &lines {
-            for pba in line.data_blocks() {
-                dev.write_block(pba, &[5u8; 512]).unwrap();
-            }
-            dev.heat_line(line, vec![], 1).unwrap();
-        }
-        // Blank region: no state yet.
-        assert_eq!(store.load(&mut dev).unwrap(), None);
-
-        crate::scrub::scrub_device(&mut dev, &crate::scrub::ScrubConfig::with_workers(1)).unwrap();
-        assert!(dev.write_block(lines[1].start() + 2, &[0u8; 512]).is_err());
-        let delta_before = crate::scrub::pass_work_list(&dev, crate::scrub::ScrubMode::Incremental);
-        store.save(&mut dev).unwrap();
-
-        dev.forget_registry();
-        dev.rebuild_registry().unwrap();
-        let restore = store.load(&mut dev).unwrap().expect("state saved");
-        assert_eq!(restore.restored, 2);
-        assert_eq!(dev.scrub_epoch(), 1);
-        let delta_after = crate::scrub::pass_work_list(&dev, crate::scrub::ScrubMode::Incremental);
-        assert_eq!(delta_after, delta_before);
-        assert_eq!(delta_after, vec![lines[1]]);
-    }
-
-    #[test]
-    fn scrub_state_store_rejects_empty_and_overflowing_regions() {
-        assert!(ScrubStateStore::new(0, 0).is_err());
-        // A one-block region cannot hold a big scrubbed registry's record
-        // (only verified/flagged lines are exported, so scrub first).
-        let mut dev = SeroDevice::with_blocks(512);
-        for i in 0..32u64 {
-            let line = Line::new(i * 8, 3).unwrap();
-            for pba in line.data_blocks() {
-                dev.write_block(pba, &[i as u8; 512]).unwrap();
-            }
-            dev.heat_line(line, vec![], 1).unwrap();
-        }
-        crate::scrub::scrub_device(&mut dev, &crate::scrub::ScrubConfig::with_workers(1)).unwrap();
-        // Any WMRM block past the heated population works as a region.
-        let store = ScrubStateStore::new(dev.block_count() - 8, 1).unwrap();
-        assert!(matches!(
-            store.save(&mut dev),
-            Err(JournalError::BadRegion { .. })
-        ));
     }
 
     #[test]

@@ -41,15 +41,10 @@ use crate::error::FsError;
 use crate::inode::{FileKind, Inode, MAX_BLOCKS, MAX_FILE_BYTES, MAX_NAME_BYTES, NDIRECT};
 use crate::meta;
 use sero_codec::crc32::crc32;
-use sero_core::device::{LoadProbe, ScrubStateRestore, SeroDevice};
-use sero_core::fleet::{
-    FleetConfig, FleetMemberState, FleetProgress, FleetScheduler, FleetSliceOutcome,
-};
+use sero_core::device::{ScrubStateRestore, SeroDevice};
 use sero_core::journal::{JournalError, WmrmRegion};
 use sero_core::line::{Line, MAX_ORDER};
-use sero_core::sched::{
-    SchedConfig, SchedProgress, SchedState, ScrubScheduler, SliceOutcome, SliceTrace,
-};
+use sero_core::sched::ScrubScheduler;
 use sero_core::scrub::{scrub_device, ScrubConfig, ScrubReport};
 use sero_core::tamper::VerifyOutcome;
 use sero_index::{
@@ -162,7 +157,7 @@ pub struct SeroFs {
     pub(crate) next_ino: u64,
     pub(crate) stats: FsStats,
     /// What [`SeroFs::mount`] restored from the checkpoint's persisted
-    /// scrub state (`None` for a freshly formatted fs or a v1 checkpoint).
+    /// scrub state (`None` for a freshly formatted fs or a rejected record).
     pub(crate) scrub_restore: Option<ScrubStateRestore>,
     /// The scrub pass driven through the command API
     /// ([`SeroFs::handle`](crate::serve)), when one has been started.
@@ -339,7 +334,7 @@ impl SeroFs {
             alloc.set_use(record.line.hash_block(), BlockUse::HashBlock);
         }
 
-        // Restore the persisted scrub bookkeeping (checkpoint v2): the
+        // Restore the persisted scrub bookkeeping from the checkpoint: the
         // rediscovered lines start with `verified_epoch == 0`, which would
         // force the next incremental scrub into a full pass; the imported
         // state marks everything the last completed pass covered, so a
@@ -347,7 +342,7 @@ impl SeroFs {
         // record that fails validation (e.g. written by a newer format
         // version) is "no usable state", never a mount failure — the data
         // stays accessible and the next pass simply runs full.
-        let scrub_restore = scrub_state.and_then(|state| dev.import_scrub_state(&state).ok());
+        let scrub_restore = dev.import_scrub_state(&scrub_state).ok();
 
         let mut inodes = BTreeMap::new();
         let mut indirect_loc = BTreeMap::new();
@@ -1140,57 +1135,12 @@ impl SeroFs {
     }
 
     /// What [`SeroFs::mount`] restored from the checkpoint's persisted
-    /// scrub state: `None` for a freshly formatted fs (or a pre-v2
-    /// checkpoint), otherwise the restore counts. When lines were
+    /// scrub state: `None` for a freshly formatted fs (or a rejected
+    /// scrub-state record), otherwise the restore counts. When lines were
     /// restored, the next [`SeroFs::scrub_incremental`] verifies only the
     /// pre-detach delta instead of falling back to a full pass.
     pub fn scrub_restore(&self) -> Option<ScrubStateRestore> {
         self.scrub_restore
-    }
-
-    /// Starts a background scrub pass over the device and returns its
-    /// handle. The pass runs *cooperatively*: it makes progress only when
-    /// the caller grants it a slice via [`BackgroundScrub::tick`] —
-    /// typically between foreground requests — and each slice is bounded
-    /// by the [`SchedConfig`] device-time budget, so foreground reads and
-    /// writes preempt the scrub at every slice boundary. Pause, resume,
-    /// cancel, and progress live on the handle.
-    ///
-    /// Call [`SeroFs::sync`] after the pass completes to persist the
-    /// advanced epochs into the checkpoint; see [`sero_core::sched`] for
-    /// the scheduling model.
-    #[must_use = "the returned handle owns the pass; dropping it silently abandons the scrub"]
-    pub fn scrub_background(&mut self, config: SchedConfig) -> BackgroundScrub {
-        BackgroundScrub {
-            sched: ScrubScheduler::start(&self.dev, config),
-        }
-    }
-
-    /// Starts a coordinated background scrub across a *fleet* of mounted
-    /// file systems and returns its handle. Passes are staggered (at most
-    /// [`FleetConfig::max_concurrent`] at once), share one global
-    /// device-time budget re-divided from each device's measured idle
-    /// time, and suspicion-first ordering admits file systems whose
-    /// devices carry flagged lines before clean peers — see
-    /// [`sero_core::fleet`] for the model. `fses` order defines the
-    /// member indices; pass the same slice (same order) to every
-    /// [`FleetScrub::tick`].
-    ///
-    /// Call [`SeroFs::sync`] on each file system after its pass
-    /// completes to persist the advanced epochs into its checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`FsError::Corrupt`] for degenerate fleet knobs (zero quantum or
-    /// zero global budget).
-    #[must_use = "the returned handle owns the fleet pass; dropping it silently abandons the scrub"]
-    pub fn fleet_scrub(fses: &[SeroFs], config: FleetConfig) -> Result<FleetScrub, FsError> {
-        let sched = FleetScheduler::start(fses.iter().map(|f| &f.dev), config).map_err(|e| {
-            FsError::Corrupt {
-                reason: format!("fleet scrub config rejected: {e}"),
-            }
-        })?;
-        Ok(FleetScrub { sched })
     }
 
     // --- checkpoint ----------------------------------------------------------
@@ -1329,7 +1279,7 @@ impl SeroFs {
             u64,
             BTreeMap<u64, u64>,
             BTreeMap<String, u64>,
-            Option<Vec<u8>>,
+            Vec<u8>,
         ),
         FsError,
     > {
@@ -1355,34 +1305,27 @@ impl SeroFs {
                 reason: "checkpoint crc mismatch".to_string(),
             });
         }
-        let mut pos = 0usize;
-        let magic = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4"));
-        pos += 4;
-        if magic != CHECKPOINT_MAGIC {
+        let mut r = CheckpointReader { body, pos: 0 };
+        if r.u32("magic")? != CHECKPOINT_MAGIC {
             return Err(FsError::Corrupt {
                 reason: "bad checkpoint magic".to_string(),
             });
         }
-        let version = body[pos];
-        if !(1..=3).contains(&version) {
+        let version = r.u8("version")?;
+        if !(2..=3).contains(&version) {
             return Err(FsError::Corrupt {
                 reason: format!("unknown checkpoint version {version}"),
             });
         }
-        pos += 1;
-        let segment_blocks = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-        pos += 8;
-        let checkpoint_blocks = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-        pos += 8;
-        // v3 (indexed) records the index region size; v1/v2 predate it.
-        let index_blocks = if version >= 3 {
-            let v = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-            pos += 8;
-            v
+        let segment_blocks = r.u64("segment size")?;
+        let checkpoint_blocks = r.u64("checkpoint size")?;
+        // v3 (indexed) records the index region size; v2 predates it.
+        let index_blocks = if version == 3 {
+            r.u64("index size")?
         } else {
             0
         };
-        let policy = match body[pos] {
+        let policy = match r.u8("policy")? {
             1 => ClusterPolicy::HeatAffinity,
             2 => ClusterPolicy::Naive,
             other => {
@@ -1391,59 +1334,30 @@ impl SeroFs {
                 })
             }
         };
-        pos += 1;
-        let next_ino = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-        pos += 8;
+        let next_ino = r.u64("next inode number")?;
         let mut inode_loc = BTreeMap::new();
         let mut directory = BTreeMap::new();
         // v3 checkpoints are superblock-scale: the namespace lives in the
         // metadata index, so there are no inode-location or directory
-        // sections to parse here.
-        if version <= 2 {
-            let n_inodes = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            for _ in 0..n_inodes {
-                let ino = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-                pos += 8;
-                let block = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-                pos += 8;
-                inode_loc.insert(ino, block);
+        // sections to parse here. Counts and name lengths are untrusted
+        // (CRC32 is no MAC), so every read below is bounds-checked.
+        if version == 2 {
+            for _ in 0..r.u32("inode count")? {
+                let ino = r.u64("inode table")?;
+                inode_loc.insert(ino, r.u64("inode table")?);
             }
-            let n_dirents = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            for _ in 0..n_dirents {
-                let ino = u64::from_le_bytes(body[pos..pos + 8].try_into().expect("8"));
-                pos += 8;
-                let len = body[pos] as usize;
-                pos += 1;
-                let name = String::from_utf8(body[pos..pos + len].to_vec()).map_err(|_| {
-                    FsError::Corrupt {
-                        reason: "directory name not UTF-8".to_string(),
-                    }
+            for _ in 0..r.u32("directory count")? {
+                let ino = r.u64("directory entry")?;
+                let len = r.u8("directory entry")? as usize;
+                let name = r.take(len, "directory name")?.to_vec();
+                let name = String::from_utf8(name).map_err(|_| FsError::Corrupt {
+                    reason: "directory name not UTF-8".to_string(),
                 })?;
-                pos += len;
                 directory.insert(name, ino);
             }
         }
-        // v1 checkpoints predate persisted scrub state; their remounts
-        // simply start unverified (full pass), exactly as before.
-        let scrub_state = if version >= 2 {
-            if pos + 4 > body.len() {
-                return Err(FsError::Corrupt {
-                    reason: "checkpoint scrub-state section truncated".to_string(),
-                });
-            }
-            let len = u32::from_le_bytes(body[pos..pos + 4].try_into().expect("4")) as usize;
-            pos += 4;
-            if pos + len > body.len() {
-                return Err(FsError::Corrupt {
-                    reason: "checkpoint scrub-state section truncated".to_string(),
-                });
-            }
-            Some(body[pos..pos + len].to_vec())
-        } else {
-            None
-        };
+        let len = r.u32("scrub-state section")? as usize;
+        let scrub_state = r.take(len, "scrub-state section")?.to_vec();
         Ok((
             FsConfig {
                 segment_blocks,
@@ -1465,280 +1379,98 @@ impl SeroFs {
     }
 }
 
-/// Handle to a background scrub pass started with
-/// [`SeroFs::scrub_background`].
-///
-/// The handle owns the pass; the file system stays fully usable while it
-/// is alive. Interleave foreground operations with
-/// [`BackgroundScrub::tick`] calls and the pass drains in budget-bounded
-/// slices:
+/// A bounds-checked cursor over a checkpoint body: every read names the
+/// field it wanted, so a forged count or length is a typed
+/// [`FsError::Corrupt`], never an out-of-range slice.
+struct CheckpointReader<'a> {
+    body: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> CheckpointReader<'a> {
+    fn take(&mut self, n: usize, field: &str) -> Result<&'a [u8], FsError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.body.len())
+            .ok_or_else(|| FsError::Corrupt {
+                reason: format!("checkpoint {field} truncated"),
+            })?;
+        let bytes = &self.body[self.pos..end];
+        self.pos = end;
+        Ok(bytes)
+    }
+
+    fn u8(&mut self, field: &str) -> Result<u8, FsError> {
+        Ok(self.take(1, field)?[0])
+    }
+
+    fn u32(&mut self, field: &str) -> Result<u32, FsError> {
+        Ok(u32::from_le_bytes(
+            self.take(4, field)?.try_into().expect("4"),
+        ))
+    }
+
+    fn u64(&mut self, field: &str) -> Result<u64, FsError> {
+        Ok(u64::from_le_bytes(
+            self.take(8, field)?.try_into().expect("8"),
+        ))
+    }
+}
+
+/// Lends the device to the core scrub drivers, so a
+/// [`ScrubScheduler`] or [`sero_core::fleet::FleetScheduler`] runs over
+/// mounted file systems exactly as over bare devices. A scrub pass only
+/// verifies heated lines (and advances the device's scrub bookkeeping);
+/// it never touches the allocator, directory or inode map. Call
+/// [`SeroFs::sync`] after a pass completes to persist the advanced
+/// epochs into the checkpoint.
 ///
 /// ```
 /// use sero_core::device::SeroDevice;
-/// use sero_core::sched::SchedConfig;
+/// use sero_core::fleet::{FleetConfig, FleetScheduler};
+/// use sero_core::sched::{SchedConfig, ScrubScheduler};
 /// use sero_fs::alloc::WriteClass;
 /// use sero_fs::fs::{FsConfig, SeroFs};
 ///
-/// let mut fs = SeroFs::format(SeroDevice::with_blocks(512), FsConfig::default())?;
-/// fs.create("ledger.csv", b"assets,1000", WriteClass::Archival)?;
-/// fs.heat("ledger.csv", vec![], 0)?;
+/// let mut fleet = Vec::new();
+/// for i in 0..2u8 {
+///     let mut fs = SeroFs::format(SeroDevice::with_blocks(512), FsConfig::default())?;
+///     fs.create("ledger.csv", &[i; 2000], WriteClass::Archival)?;
+///     fs.heat("ledger.csv", vec![], 0)?;
+///     fleet.push(fs);
+/// }
 ///
-/// let mut scrub = fs.scrub_background(SchedConfig::default());
+/// // One device: grant the pass bounded slices between foreground requests.
+/// let fs = &mut fleet[0];
+/// let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::default());
 /// while !scrub.is_complete() {
-///     // … serve foreground traffic here …
-///     fs.read("ledger.csv")?;
-///     scrub.tick(&mut fs)?; // grant the scrub one bounded slice
+///     fs.read("ledger.csv")?; // … serve foreground traffic here …
+///     scrub.run_slice(fs.as_mut())?;
 /// }
 /// assert!(scrub.report().summary.is_clean());
-/// fs.sync()?; // persist the advanced epochs into the checkpoint
-/// # Ok::<(), sero_fs::error::FsError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct BackgroundScrub {
-    sched: ScrubScheduler,
-}
-
-impl BackgroundScrub {
-    /// Grants the pass one slice of device time on `fs`'s device (a no-op
-    /// when paused, throttled, cancelled, or complete). See
-    /// [`sero_core::sched::ScrubScheduler::run_slice`].
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure failures only; tamper findings are data in the
-    /// report.
-    pub fn tick(&mut self, fs: &mut SeroFs) -> Result<SliceOutcome, FsError> {
-        Ok(self.sched.run_slice(&mut fs.dev)?)
-    }
-
-    /// Pauses the pass between slices.
-    pub fn pause(&mut self) {
-        self.sched.pause();
-    }
-
-    /// Resumes a paused pass.
-    pub fn resume(&mut self) {
-        self.sched.resume();
-    }
-
-    /// Cancels the pass. The device's completed-pass epoch stays
-    /// untouched — the unverified remainder is due in the next pass.
-    pub fn cancel(&mut self) {
-        self.sched.cancel();
-    }
-
-    /// Lifecycle state.
-    pub fn state(&self) -> SchedState {
-        self.sched.state()
-    }
-
-    /// True once the pass completed and the epoch advanced.
-    pub fn is_complete(&self) -> bool {
-        self.sched.is_complete()
-    }
-
-    /// Point-in-time progress counters.
-    pub fn progress(&self) -> SchedProgress {
-        self.sched.progress()
-    }
-
-    /// The scheduler trace: one record per slice run so far.
-    pub fn trace(&self) -> &[SliceTrace] {
-        self.sched.trace()
-    }
-
-    /// The pass outcomes so far as a [`ScrubReport`] (partial until
-    /// complete).
-    pub fn report(&self) -> ScrubReport {
-        self.sched.report()
-    }
-
-    /// The underlying scheduler, for scheduling-level introspection.
-    pub fn scheduler(&self) -> &ScrubScheduler {
-        &self.sched
-    }
-}
-
-/// Handle to a fleet-wide background scrub started with
-/// [`SeroFs::fleet_scrub`].
 ///
-/// The handle owns the fleet pass state; the file systems stay with the
-/// caller and remain fully usable. Interleave foreground operations with
-/// [`FleetScrub::tick`] (whole fleet, one slice per member in priority
-/// order) or [`FleetScrub::tick_member`] (one file system's gap in its
-/// own request loop, after a [`FleetScrub::retune`]):
-///
-/// ```
-/// use sero_core::device::SeroDevice;
-/// use sero_core::fleet::FleetConfig;
-/// use sero_fs::alloc::WriteClass;
-/// use sero_fs::fs::{FsConfig, SeroFs};
-///
-/// let mut fleet: Vec<SeroFs> = (0..2)
-///     .map(|i| {
-///         let mut fs =
-///             SeroFs::format(SeroDevice::with_blocks(512), FsConfig::default()).unwrap();
-///         fs.create("ledger.csv", &[i as u8; 2000], WriteClass::Archival)?;
-///         fs.heat("ledger.csv", vec![], 0)?;
-///         Ok(fs)
-///     })
-///     .collect::<Result<_, sero_fs::error::FsError>>()?;
-///
-/// let mut scrub = SeroFs::fleet_scrub(&fleet, FleetConfig::default())?;
-/// scrub.run_to_completion(&mut fleet)?;
-/// assert!(scrub.is_complete());
+/// // A fleet: one coordinated pass per member.
+/// let devices = fleet.iter().map(SeroFs::device);
+/// let mut pass = FleetScheduler::start(devices, FleetConfig::default())?;
+/// pass.run_to_completion(&mut fleet)?;
 /// for fs in &mut fleet {
-///     assert_eq!(fs.device().scrub_epoch(), 1);
+///     assert!(fs.device().scrub_epoch() >= 1);
 ///     fs.sync()?; // persist the advanced epochs
 /// }
-/// # Ok::<(), sero_fs::error::FsError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct FleetScrub {
-    sched: FleetScheduler,
-}
-
-impl FleetScrub {
-    /// One fleet round over all members: samples every device's load
-    /// probe, re-divides the global budget, then grants each member one
-    /// slice in priority order. `fses` must be the fleet passed to
-    /// [`SeroFs::fleet_scrub`], in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure failures only; tamper findings are data in the
-    /// member reports.
-    pub fn tick(
-        &mut self,
-        fses: &mut [SeroFs],
-    ) -> Result<Vec<(usize, FleetSliceOutcome)>, FsError> {
-        assert_eq!(
-            fses.len(),
-            self.sched.len(),
-            "tick needs the full fleet in start order"
-        );
-        self.retune(fses);
-        let order = self.sched.priority_order().to_vec();
-        let mut outcomes = Vec::with_capacity(order.len());
-        for i in order {
-            outcomes.push((i, self.sched.tick_member(i, &mut fses[i].dev)?));
-        }
-        Ok(outcomes)
-    }
-
-    /// Grants member `idx` one slice on its own file system — the shape a
-    /// per-fs request loop wants: retune once per round, then tick each
-    /// member in the idle gap of its own traffic.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure failures only.
-    pub fn tick_member(
-        &mut self,
-        idx: usize,
-        fs: &mut SeroFs,
-    ) -> Result<FleetSliceOutcome, FsError> {
-        Ok(self.sched.tick_member(idx, &mut fs.dev)?)
-    }
-
-    /// Re-divides the global budget from the fleet's current load probes
-    /// (called automatically by [`FleetScrub::tick`]).
-    pub fn retune(&mut self, fses: &[SeroFs]) {
-        let loads: Vec<LoadProbe> = fses.iter().map(|f| *f.dev.load_probe()).collect();
-        self.sched.retune(&loads);
-    }
-
-    /// Drives the fleet to completion on otherwise-idle file systems,
-    /// idling throttled or starved devices forward on their own clocks.
-    ///
-    /// # Errors
-    ///
-    /// Infrastructure failures from any member slice.
-    pub fn run_to_completion(&mut self, fses: &mut [SeroFs]) -> Result<(), FsError> {
-        let quantum = self.sched.config().quantum_ns;
-        let mut guard = 0usize;
-        while !self.is_complete() {
-            guard += 1;
-            assert!(guard < 1_000_000, "fleet scrub failed to converge");
-            let mut progressed = false;
-            for (i, outcome) in self.tick(fses)? {
-                match outcome {
-                    FleetSliceOutcome::Ran { .. } => progressed = true,
-                    FleetSliceOutcome::Throttled { resume_at_ns } => {
-                        let dev = fses[i].device_mut();
-                        let now = dev.probe().clock().elapsed_ns();
-                        if resume_at_ns > now {
-                            dev.probe_mut().advance_clock((resume_at_ns - now) as u64);
-                        }
-                        progressed = true;
-                    }
-                    FleetSliceOutcome::Starved => {
-                        fses[i].device_mut().probe_mut().advance_clock(quantum);
-                        progressed = true;
-                    }
-                    FleetSliceOutcome::Waiting
-                    | FleetSliceOutcome::Paused
-                    | FleetSliceOutcome::Idle => {}
-                }
-            }
-            if !progressed {
-                return Ok(()); // everything left is paused
-            }
-        }
-        Ok(())
-    }
-
-    /// Pauses member `idx` between slices.
-    pub fn pause(&mut self, idx: usize) {
-        self.sched.pause(idx);
-    }
-
-    /// Resumes a paused member.
-    pub fn resume(&mut self, idx: usize) {
-        self.sched.resume(idx);
-    }
-
-    /// Cancels member `idx`'s pass; its device's completed-pass epoch
-    /// stays untouched and its slot frees for the next pending member.
-    pub fn cancel(&mut self, idx: usize) {
-        self.sched.cancel(idx);
-    }
-
-    /// True once every member completed or was cancelled.
-    pub fn is_complete(&self) -> bool {
-        self.sched.is_complete()
-    }
-
-    /// Lifecycle state of member `idx`.
-    pub fn member_state(&self, idx: usize) -> FleetMemberState {
-        self.sched.member_state(idx)
-    }
-
-    /// Fleet-wide progress totals.
-    pub fn progress(&self) -> FleetProgress {
-        self.sched.progress()
-    }
-
-    /// The pass report of member `idx` (`None` until admitted).
-    pub fn member_report(&self, idx: usize) -> Option<ScrubReport> {
-        self.sched.member_report(idx)
-    }
-
-    /// Member indices in pass-completion order.
-    pub fn completion_order(&self) -> &[usize] {
-        self.sched.completion_order()
-    }
-
-    /// The underlying fleet scheduler, for scheduling-level
-    /// introspection (grants, priority order, peak concurrency).
-    pub fn scheduler(&self) -> &FleetScheduler {
-        &self.sched
+impl AsMut<SeroDevice> for SeroFs {
+    fn as_mut(&mut self) -> &mut SeroDevice {
+        &mut self.dev
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sero_core::fleet::{FleetConfig, FleetScheduler};
+    use sero_core::sched::{SchedConfig, SchedState};
     use sero_core::scrub::ScrubMode;
 
     fn populated_fs() -> SeroFs {
@@ -1760,10 +1492,35 @@ mod tests {
         fs
     }
 
+    /// A fleet of populated file systems whose member 2 is tampered
+    /// behind the protocol's back and flagged by a refused write, so
+    /// suspicion-first ordering has something to rank.
+    fn fleet_with_flagged_victim() -> Vec<SeroFs> {
+        let mut fleet: Vec<SeroFs> = (0..3).map(|_| populated_fs()).collect();
+        let victim_line = fleet[2].stat("frozen-1").unwrap().heated.unwrap();
+        fleet[2]
+            .device_mut()
+            .probe_mut()
+            .mws(victim_line.start() + 2, &[0xEE; 512])
+            .unwrap();
+        assert!(fleet[2]
+            .write("frozen-1", b"rewrite", WriteClass::Normal)
+            .is_err());
+        fleet
+    }
+
+    fn two_wide_fleet() -> FleetConfig {
+        FleetConfig {
+            max_concurrent: 2,
+            ..FleetConfig::default()
+        }
+    }
+
     #[test]
     fn background_scrub_interleaves_with_foreground_traffic() {
         let mut fs = populated_fs();
-        let mut scrub = fs.scrub_background(SchedConfig::slice_budget(1_000_000).unwrap());
+        let mut scrub =
+            ScrubScheduler::start(fs.device(), SchedConfig::slice_budget(1_000_000).unwrap());
         let mut foreground_ops = 0;
         while !scrub.is_complete() {
             // Foreground keeps reading and rewriting between slices.
@@ -1775,7 +1532,7 @@ mod tests {
             )
             .unwrap();
             foreground_ops += 1;
-            scrub.tick(&mut fs).unwrap();
+            scrub.run_slice(fs.as_mut()).unwrap();
             assert!(foreground_ops < 1000, "scrub never completed");
         }
         let report = scrub.report();
@@ -1792,9 +1549,9 @@ mod tests {
     fn remount_restores_persisted_epochs_for_incremental_scrub() {
         let mut fs = populated_fs();
         // Complete a pass in the background, then persist via sync.
-        let mut scrub = fs.scrub_background(SchedConfig::greedy());
+        let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::greedy());
         while !scrub.is_complete() {
-            scrub.tick(&mut fs).unwrap();
+            scrub.run_slice(fs.as_mut()).unwrap();
         }
         // A post-pass delta: one new heated file, one refused write.
         fs.create("late", &[9u8; 3000], WriteClass::Archival)
@@ -1828,31 +1585,16 @@ mod tests {
     }
 
     #[test]
-    fn fleet_scrub_covers_every_member_with_identical_evidence() {
-        let mut fleet: Vec<SeroFs> = (0..3).map(|_| populated_fs()).collect();
-        // Tamper one device behind the protocol's back; flag it via a
-        // refused write so suspicion-first ordering sees it.
-        let victim_line = fleet[2].stat("frozen-1").unwrap().heated.unwrap();
-        fleet[2]
-            .device_mut()
-            .probe_mut()
-            .mws(victim_line.start() + 2, &[0xEE; 512])
-            .unwrap();
-        assert!(fleet[2]
-            .write("frozen-1", b"rewrite", WriteClass::Normal)
-            .is_err());
-
+    fn fleet_pass_covers_every_member_with_identical_evidence() {
+        let mut fleet = fleet_with_flagged_victim();
         let exclusive: Vec<_> = fleet
             .clone()
             .iter_mut()
             .map(|fs| fs.scrub(&ScrubConfig::with_workers(1)).unwrap())
             .collect();
 
-        let config = sero_core::fleet::FleetConfig {
-            max_concurrent: 2,
-            ..sero_core::fleet::FleetConfig::default()
-        };
-        let mut scrub = SeroFs::fleet_scrub(&fleet, config).unwrap();
+        let mut scrub =
+            FleetScheduler::start(fleet.iter().map(SeroFs::device), two_wide_fleet()).unwrap();
         scrub.run_to_completion(&mut fleet).unwrap();
         assert!(scrub.is_complete());
         assert_eq!(
@@ -1860,7 +1602,7 @@ mod tests {
             2,
             "suspicious member's pass finishes first"
         );
-        assert!(scrub.scheduler().peak_active() <= 2);
+        assert!(scrub.peak_active() <= 2);
         for (i, expected) in exclusive.iter().enumerate() {
             let report = scrub.member_report(i).unwrap();
             assert_eq!(report.outcomes, expected.outcomes, "member {i}");
@@ -1875,23 +1617,35 @@ mod tests {
     }
 
     #[test]
-    fn fleet_scrub_rejects_degenerate_config() {
-        let fleet = [populated_fs()];
-        let bad = sero_core::fleet::FleetConfig {
-            quantum_ns: 0,
-            ..sero_core::fleet::FleetConfig::default()
-        };
-        assert!(matches!(
-            SeroFs::fleet_scrub(&fleet, bad),
-            Err(FsError::Corrupt { .. })
-        ));
+    fn fleet_loop_runs_identically_over_file_systems_and_bare_devices() {
+        let mut fleet = fleet_with_flagged_victim();
+        let mut devs: Vec<SeroDevice> = fleet.iter().map(|fs| fs.device().clone()).collect();
+
+        let mut over_fs =
+            FleetScheduler::start(fleet.iter().map(SeroFs::device), two_wide_fleet()).unwrap();
+        over_fs.run_to_completion(&mut fleet).unwrap();
+        let mut over_devs = FleetScheduler::start(devs.iter(), two_wide_fleet()).unwrap();
+        over_devs.run_to_completion(&mut devs).unwrap();
+
+        assert!(over_fs.is_complete() && over_devs.is_complete());
+        assert_eq!(over_fs.reports(), over_devs.reports());
+        assert_eq!(over_fs.completion_order(), over_devs.completion_order());
+        assert_eq!(over_fs.completion_order()[0], 2, "suspicion-first ran");
+        assert_eq!(over_fs.progress().tampered, 1);
+        for (fs, dev) in fleet.iter().zip(&devs) {
+            assert_eq!(
+                fs.device().probe().clock().elapsed_ns(),
+                dev.probe().clock().elapsed_ns()
+            );
+            assert_eq!(fs.device().scrub_epoch(), dev.scrub_epoch());
+        }
     }
 
     #[test]
     fn cancelled_background_pass_keeps_fs_consistent() {
         let mut fs = populated_fs();
-        let mut scrub = fs.scrub_background(SchedConfig::slice_budget(1).unwrap());
-        scrub.tick(&mut fs).unwrap();
+        let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::slice_budget(1).unwrap());
+        scrub.run_slice(fs.as_mut()).unwrap();
         scrub.cancel();
         assert_eq!(scrub.state(), SchedState::Cancelled);
         assert_eq!(fs.device().scrub_epoch(), 0, "no completed pass");

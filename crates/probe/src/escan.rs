@@ -15,8 +15,10 @@
 //! * per-block [`Scan`] / [`EwsReport`] results, so a damaged or tampered
 //!   block is reported in its scan without aborting the rest of the run
 //!   (tamper findings are data, never errors);
-//! * a batched prefix probe ([`ProbeDevice::ers_cells_blocks`]) so registry
-//!   scans stop paying a full seek for every 16-cell pre-probe.
+//! * a prefix sieve ([`ProbeDevice::ers_sieve_blocks_with`]) that probes
+//!   every block's 16-cell prefix in one sweep and escalates candidates
+//!   to a full scan in place, so registry scans stop paying a full seek
+//!   for every pre-probe.
 //!
 //! On the default cost model a streamed electrical scan saves the 50 µs
 //! settle per block; `BENCH_registry.json` tracks the end-to-end ratio for
@@ -53,72 +55,6 @@ impl ProbeDevice {
             });
         }
         Ok(())
-    }
-
-    /// Streams electrical prefix probes of the first `cells` Manchester
-    /// cells over the extent `[start, start + count)`, handing each
-    /// block's [`Scan`] to `sink`. One seek at the head of the range, then
-    /// settle-free row streaming — the registry pre-probe's fast path.
-    ///
-    /// `sink` returns `false` to stop the scan early; the remaining blocks
-    /// are neither probed nor charged to the clock.
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when the extent exceeds the device.
-    /// Tamper findings are data in each [`Scan`], never errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cells` exceeds
-    /// [`ELECTRICAL_CELLS`](crate::sector::ELECTRICAL_CELLS) — a caller
-    /// bug, not a device condition.
-    pub fn ers_cells_blocks_with<F>(
-        &mut self,
-        start: u64,
-        count: u64,
-        cells: usize,
-        mut sink: F,
-    ) -> Result<(), SectorError>
-    where
-        F: FnMut(u64, Scan) -> bool,
-    {
-        self.check_escan_extent(start, count)?;
-        if count == 0 {
-            return Ok(());
-        }
-        self.seek_block(start);
-        for pba in start..start + count {
-            if pba > start {
-                self.stream_to_block(pba);
-            }
-            let scan = self.ers_cells_here(pba, cells);
-            if !sink(pba, scan) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Probes the first `cells` Manchester cells of every block in
-    /// `[start, start + count)`, returning one [`Scan`] per block. See
-    /// [`ProbeDevice::ers_cells_blocks_with`] for the streaming model.
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when the extent exceeds the device.
-    pub fn ers_cells_blocks(
-        &mut self,
-        start: u64,
-        count: u64,
-        cells: usize,
-    ) -> Result<Vec<Scan>, SectorError> {
-        let mut out = Vec::with_capacity(count as usize);
-        self.ers_cells_blocks_with(start, count, cells, |_, scan| {
-            out.push(scan);
-            true
-        })?;
-        Ok(out)
     }
 
     /// Streams prefix probes of `prefix_cells` Manchester cells over the
@@ -167,32 +103,6 @@ impl ProbeDevice {
             }
         }
         Ok(())
-    }
-
-    /// Streams full electrical sector reads over the extent
-    /// `[start, start + count)`, handing each block's [`Scan`] to `sink`
-    /// (which returns `false` to stop early). One seek for the whole
-    /// extent; a tampered or shredded block shows up in its own scan
-    /// without aborting the run.
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when the extent exceeds the device.
-    pub fn ers_blocks_with<F>(&mut self, start: u64, count: u64, sink: F) -> Result<(), SectorError>
-    where
-        F: FnMut(u64, Scan) -> bool,
-    {
-        self.ers_cells_blocks_with(start, count, crate::sector::ELECTRICAL_CELLS, sink)
-    }
-
-    /// Reads the electrical area of every block in `[start, start +
-    /// count)`, returning one [`Scan`] per block.
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when the extent exceeds the device.
-    pub fn ers_blocks(&mut self, start: u64, count: u64) -> Result<Vec<Scan>, SectorError> {
-        self.ers_cells_blocks(start, count, crate::sector::ELECTRICAL_CELLS)
     }
 
     /// Reads the electrical area of each block in `pbas` (in order),
@@ -259,7 +169,7 @@ impl ProbeDevice {
 #[cfg(test)]
 mod tests {
     use crate::device::ProbeDevice;
-    use crate::sector::ELECTRICAL_CELLS;
+    use crate::sector::{SectorError, ELECTRICAL_CELLS};
 
     fn device(blocks: u64) -> ProbeDevice {
         ProbeDevice::builder().blocks(blocks).build()
@@ -267,6 +177,12 @@ mod tests {
 
     fn bits(seed: usize, len: usize) -> Vec<bool> {
         (0..len).map(|i| (i * 7 + seed) % 3 == 0).collect()
+    }
+
+    /// A prefix-only sieve: 16-cell probes over the extent, nothing
+    /// escalated.
+    fn prefix_sweep(dev: &mut ProbeDevice, start: u64, count: u64) -> Result<(), SectorError> {
+        dev.ers_sieve_blocks_with(start, count, 16, |_, _| false, |_, _| {})
     }
 
     #[test]
@@ -299,26 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn ers_blocks_matches_ers_loop() {
-        let mut dev = device(16);
-        for pba in 0..4u64 {
-            dev.ews(pba * 4, &bits(pba as usize, 100)).unwrap();
-        }
-        let mut batch = dev.clone();
-        let scans = batch.ers_blocks(0, 16).unwrap();
-        assert_eq!(scans.len(), 16);
-        for (pba, scan) in scans.iter().enumerate() {
-            assert_eq!(scan, &dev.ers(pba as u64).unwrap(), "block {pba}");
-        }
-    }
-
-    #[test]
     fn streamed_scan_is_cheaper_than_seek_loop() {
         let mut batch = device(64);
         let mut serial = device(64);
 
         let t0 = batch.clock().elapsed_ns();
-        batch.ers_cells_blocks(0, 64, 16).unwrap();
+        prefix_sweep(&mut batch, 0, 64).unwrap();
         let batch_ns = batch.clock().elapsed_ns() - t0;
 
         let t0 = serial.clock().elapsed_ns();
@@ -380,7 +282,7 @@ mod tests {
         let mut dev = device(8);
         dev.ews(1, &bits(0, 32)).unwrap();
         dev.shred(2).unwrap();
-        let scans = dev.ers_blocks(0, 4).unwrap();
+        let scans = dev.ers_blocks_at(&[0, 1, 2, 3]).unwrap();
         assert!(scans[0].cells().iter().all(|c| c.value().is_none()));
         assert!(scans[1].tampered_cells().is_empty(), "clean payload");
         assert!(
@@ -419,24 +321,10 @@ mod tests {
     }
 
     #[test]
-    fn early_stop_skips_remaining_probe_cost() {
-        let mut dev = device(16);
-        let before = dev.counters().ers;
-        let mut seen = 0;
-        dev.ers_cells_blocks_with(0, 16, 8, |_, _| {
-            seen += 1;
-            seen < 5
-        })
-        .unwrap();
-        assert_eq!(seen, 5);
-        assert_eq!(dev.counters().ers - before, 5, "untouched blocks unprobed");
-    }
-
-    #[test]
     fn out_of_range_extents_rejected_up_front() {
         let mut dev = device(8);
-        assert!(dev.ers_blocks(4, 5).is_err());
-        assert!(dev.ers_cells_blocks(0, 9, 4).is_err());
+        assert!(prefix_sweep(&mut dev, 4, 5).is_err());
+        assert!(prefix_sweep(&mut dev, 0, 9).is_err());
         assert!(dev.ers_blocks_at(&[0, 8]).is_err());
         let before = dev.counters().ers;
         assert!(dev
@@ -445,8 +333,8 @@ mod tests {
         assert_eq!(dev.counters().ers, before, "no I/O before the refusal");
         assert_eq!(dev.counters().ewb, 0);
         // Boundary-exact and empty extents are fine.
-        assert!(dev.ers_blocks(0, 8).is_ok());
-        assert!(dev.ers_blocks(8, 0).is_ok());
+        assert!(prefix_sweep(&mut dev, 0, 8).is_ok());
+        assert!(prefix_sweep(&mut dev, 8, 0).is_ok());
         assert!(dev.ers_blocks_at(&[]).is_ok());
     }
 
@@ -454,7 +342,7 @@ mod tests {
     fn full_scan_helpers_agree_with_ers_cells_bound() {
         let mut dev = device(4);
         dev.ews(1, &bits(2, ELECTRICAL_CELLS)).unwrap();
-        let batch = dev.clone().ers_blocks(1, 1).unwrap();
+        let batch = dev.clone().ers_blocks_at(&[1]).unwrap();
         let single = dev.ers(1).unwrap();
         assert_eq!(batch[0], single);
     }

@@ -16,11 +16,11 @@
 //!   sector operations (`mrs`/`mws`/`ers`/`ews`).
 //! * [`extent`] — batched multi-block `read_blocks`/`write_blocks`: one
 //!   seek per extent, settle-free streaming between adjacent tracks.
-//! * [`escan`] — the electrical counterpart: bulk `ers_blocks`/`ews_blocks`
-//!   sweeping gaps between scattered ascending targets without settling,
-//!   batched `ers_cells_blocks` prefix probes, and the
-//!   `ers_sieve_blocks_with` prefix sieve registry scans run on — one
-//!   sweep per gap, candidates escalated to a full scan in place.
+//! * [`escan`] — the electrical counterpart: bulk `ers_blocks_at`/
+//!   `ews_blocks` sweeping gaps between scattered ascending targets
+//!   without settling, and the `ers_sieve_blocks_with` prefix sieve
+//!   registry scans run on — one sweep per extent, candidates escalated
+//!   to a full scan in place.
 //! * [`faults`] — deterministic, seeded fault injection at the sector
 //!   choke points: transient/persistent read and write faults, sled
 //!   stalls, and bit rot, armed via `ProbeDevice::arm_faults`.

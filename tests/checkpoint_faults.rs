@@ -88,20 +88,35 @@ fn rewrite_checkpoint(probe: &mut ProbeDevice, mutate: impl FnOnce(&mut Vec<u8>)
     write_framed(probe, &out);
 }
 
-/// Offset of the scrub-state section's length field inside the body
-/// (magic, version, geometry, policy, next_ino, inode table, directory).
-fn scrub_len_pos(body: &[u8]) -> usize {
-    let mut pos = 4 + 1 + 8 + 8 + 1 + 8;
-    let n_inodes = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-    pos += 4 + n_inodes * 16;
-    let n_dirents = u32::from_le_bytes(body[pos..pos + 4].try_into().unwrap()) as usize;
-    pos += 4;
+/// Offsets of a v2 body's variable-length fields, which follow magic,
+/// version, geometry, policy and next_ino.
+struct Offsets {
+    inode_count: usize,
+    dirent_count: usize,
+    /// Each directory entry's name-length byte.
+    name_lens: Vec<usize>,
+    /// The scrub-state section's length field.
+    scrub_len: usize,
+}
+
+fn offsets(body: &[u8]) -> Offsets {
+    let inode_count = 4 + 1 + 8 + 8 + 1 + 8;
+    let n_inodes = u32::from_le_bytes(body[inode_count..inode_count + 4].try_into().unwrap());
+    let dirent_count = inode_count + 4 + n_inodes as usize * 16;
+    let n_dirents = u32::from_le_bytes(body[dirent_count..dirent_count + 4].try_into().unwrap());
+    let mut pos = dirent_count + 4;
+    let mut name_lens = Vec::new();
     for _ in 0..n_dirents {
         pos += 8;
-        let len = body[pos] as usize;
-        pos += 1 + len;
+        name_lens.push(pos);
+        pos += 1 + body[pos] as usize;
     }
-    pos
+    Offsets {
+        inode_count,
+        dirent_count,
+        name_lens,
+        scrub_len: pos,
+    }
 }
 
 fn try_mount(probe: &ProbeDevice) -> Result<SeroFs, FsError> {
@@ -191,15 +206,31 @@ fn pristine_remount_restores_namespace_and_scrub_state() {
     );
 }
 
-/// Each corrupt header field behind the CRC reaches its own typed
-/// reason — the parser names what it refused.
+/// Each corrupt field behind the CRC reaches its own typed reason — the
+/// parser names what it refused. The checkpoint region is rewritable and
+/// CRC32 is no MAC, so forged namespace counts and name lengths must be
+/// typed errors too, never a read past the record.
 #[test]
 fn each_corrupt_field_yields_its_typed_reason() {
     type Mutation = fn(&mut Vec<u8>);
-    let cases: [(&str, Mutation); 3] = [
+    let cases: [(&str, Mutation); 7] = [
         ("magic", |b| b[0] ^= 0xFF),
         ("version", |b| b[4] = 9),
+        ("version", |b| b[4] = 1),
         ("policy", |b| b[4 + 1 + 8 + 8] = 7),
+        ("inode", |b| {
+            let p = offsets(b).inode_count;
+            b[p..p + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }),
+        ("directory", |b| {
+            let p = offsets(b).dirent_count;
+            b[p..p + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }),
+        ("directory name", |b| {
+            // The last entry's name runs past everything after it.
+            let p = *offsets(b).name_lens.last().expect("a directory entry");
+            b[p] = u8::MAX;
+        }),
     ];
     for (needle, mutate) in cases {
         let (mut probe, _) = synced_fs(1, 1, 1);
@@ -219,7 +250,7 @@ fn each_corrupt_field_yields_its_typed_reason() {
 fn ballooned_scrub_length_is_truncation_not_overread() {
     let (mut probe, _) = synced_fs(3, 3, 1);
     rewrite_checkpoint(&mut probe, |b| {
-        let p = scrub_len_pos(b);
+        let p = offsets(b).scrub_len;
         b[p..p + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     });
     match try_mount(&probe) {
@@ -239,7 +270,7 @@ fn ballooned_scrub_length_is_truncation_not_overread() {
 fn corrupt_scrub_payload_is_a_clean_fallback_never_a_mount_failure() {
     let (mut probe, expect) = synced_fs(5, 9, 2);
     rewrite_checkpoint(&mut probe, |b| {
-        let p = scrub_len_pos(b);
+        let p = offsets(b).scrub_len;
         let len = u32::from_le_bytes(b[p..p + 4].try_into().unwrap()) as usize;
         assert!(len > 0, "a scrubbed heated line must export state");
         for byte in &mut b[p + 4..p + 4 + len] {

@@ -2,13 +2,14 @@
 //! scrub epochs: a budgeted, paused, resumed, arbitrarily-sliced
 //! background pass must produce byte-identical tamper evidence to an
 //! uninterrupted exclusive pass, and the epochs a detach would forget
-//! must survive the journey through the persisted scrub state — whether
-//! it rides the fs checkpoint or a raw-device `ScrubStateStore` region —
-//! so a remount's incremental delta is exactly the pre-detach delta.
+//! must survive the journey through the persisted scrub state — the
+//! device's exported record, which the fs checkpoint carries — so a
+//! remount's incremental delta is exactly the pre-detach delta. The
+//! fs-level tests drive the core [`ScrubScheduler`] over a mounted
+//! [`SeroFs`] directly.
 
 use proptest::prelude::*;
 use sero::core::device::SeroDevice;
-use sero::core::journal::ScrubStateStore;
 use sero::core::line::Line;
 use sero::core::sched::{SchedConfig, ScrubScheduler, SliceOutcome};
 use sero::core::scrub::{pass_work_list, scrub_device, ScrubConfig, ScrubMode};
@@ -125,10 +126,10 @@ proptest! {
         );
     }
 
-    /// Persisted scrub state round-trips through a raw-device
-    /// `ScrubStateStore` region across detach/attach: the remounted
-    /// incremental delta is exactly the pre-detach delta, for any split
-    /// of the population into scrubbed / freshly-heated / flagged lines.
+    /// Persisted scrub state round-trips through the device's exported
+    /// record across detach/attach: the remounted incremental delta is
+    /// exactly the pre-detach delta, for any split of the population
+    /// into scrubbed / freshly-heated / flagged lines.
     #[test]
     fn persisted_epochs_survive_detach(
         seed in any::<u64>(),
@@ -161,12 +162,11 @@ proptest! {
         let delta_before = pass_work_list(&dev, ScrubMode::Incremental);
         let epoch_before = dev.scrub_epoch();
 
-        // Persist into a WMRM region, detach, attach, restore.
-        let store = ScrubStateStore::new(20 * 8, 256 - 20 * 8).unwrap();
-        store.save(&mut dev).unwrap();
+        // Export, detach, attach, restore.
+        let state = dev.export_scrub_state();
         dev.forget_registry();
         dev.rebuild_registry().unwrap();
-        let restore = store.load(&mut dev).unwrap().expect("state persisted");
+        let restore = dev.import_scrub_state(&state).unwrap();
         // Only informative records persist: the verified initial lines
         // (late heats are epoch-0/unflagged, exactly the rebuild default).
         prop_assert_eq!(restore.restored, initial.len());
@@ -195,9 +195,9 @@ fn remount_after_detach_scrubs_incrementally() {
         .unwrap();
     }
     // Background pass covers everything; sync persists the epochs.
-    let mut scrub = fs.scrub_background(SchedConfig::default());
+    let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::default());
     while !scrub.is_complete() {
-        match scrub.tick(&mut fs).unwrap() {
+        match scrub.run_slice(fs.as_mut()).unwrap() {
             SliceOutcome::Throttled { resume_at_ns } => {
                 let now = fs.device().probe().clock().elapsed_ns();
                 fs.device_mut()
@@ -254,8 +254,8 @@ fn cancelled_fs_pass_keeps_epoch_and_next_pass_covers_remainder() {
             .unwrap();
         fs.heat(&name, vec![], i as u64).unwrap();
     }
-    let mut scrub = fs.scrub_background(SchedConfig::slice_budget(1).unwrap());
-    scrub.tick(&mut fs).unwrap();
+    let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::slice_budget(1).unwrap());
+    scrub.run_slice(fs.as_mut()).unwrap();
     scrub.cancel();
     assert_eq!(fs.device().scrub_epoch(), 0, "cancelled pass never counts");
     let verified = scrub.report().outcomes.len();
