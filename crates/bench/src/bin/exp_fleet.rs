@@ -119,7 +119,7 @@ fn run_phase(
                 scrub_started[d].get_or_insert_with(|| clock(&fleet[d]));
                 while !sc.is_complete() && clock(&fleet[d]) < arrival {
                     match sc
-                        .tick_member(d, fleet[d].as_mut())
+                        .tick_member(d, fleet[d].device_mut())
                         .expect("fleet slice failed")
                     {
                         FleetSliceOutcome::Ran { .. } => {}

@@ -97,7 +97,7 @@ fn run_phase(
             // Grant slices while the device would otherwise idle. A slice
             // may overrun the next arrival — that request then waits.
             while !bg.is_complete() && clock(fs) < arrival {
-                match bg.run_slice(fs.as_mut()).expect("scrub slice failed") {
+                match bg.run_slice(fs.device_mut()).expect("scrub slice failed") {
                     SliceOutcome::Ran { .. } => {}
                     SliceOutcome::Throttled { resume_at_ns } => {
                         if resume_at_ns >= arrival {
@@ -121,7 +121,7 @@ fn run_phase(
     if let Some(bg) = scrub {
         let started = *scrub_started_at.get_or_insert_with(|| clock(fs));
         while !bg.is_complete() {
-            match bg.run_slice(fs.as_mut()).expect("scrub slice failed") {
+            match bg.run_slice(fs.device_mut()).expect("scrub slice failed") {
                 SliceOutcome::Ran { .. } => {}
                 SliceOutcome::Throttled { resume_at_ns } => idle_until(fs, resume_at_ns),
                 SliceOutcome::Paused | SliceOutcome::Idle => break,

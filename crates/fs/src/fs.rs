@@ -1284,7 +1284,22 @@ impl SeroFs {
         FsError,
     > {
         let first = dev.read_block(0)?;
-        let total = u64::from_le_bytes(first[..8].try_into().expect("8")) as usize;
+        // The length prefix sits outside the CRC, so bound it by the
+        // region before reading past sector 0. The region size is the
+        // record's own checkpoint-size field (body bytes 13..21, inside
+        // sector 0, and CRC-checked below), capped by the device.
+        let total = u64::from_le_bytes(first[..8].try_into().expect("8"));
+        let region_blocks =
+            u64::from_le_bytes(first[8 + 13..8 + 21].try_into().expect("8")).min(dev.block_count());
+        let capacity = region_blocks
+            .saturating_mul(SECTOR_DATA_BYTES as u64)
+            .saturating_sub(8);
+        if total > capacity {
+            return Err(FsError::Corrupt {
+                reason: format!("checkpoint length {total} exceeds its {capacity}-byte region"),
+            });
+        }
+        let total = total as usize;
         let mut framed = first[8..].to_vec();
         let mut next_block = 1u64;
         while framed.len() < total {
@@ -1446,7 +1461,7 @@ impl<'a> CheckpointReader<'a> {
 /// let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::default());
 /// while !scrub.is_complete() {
 ///     fs.read("ledger.csv")?; // … serve foreground traffic here …
-///     scrub.run_slice(fs.as_mut())?;
+///     scrub.run_slice(fs.device_mut())?;
 /// }
 /// assert!(scrub.report().summary.is_clean());
 ///
@@ -1454,8 +1469,10 @@ impl<'a> CheckpointReader<'a> {
 /// let devices = fleet.iter().map(SeroFs::device);
 /// let mut pass = FleetScheduler::start(devices, FleetConfig::default())?;
 /// pass.run_to_completion(&mut fleet)?;
-/// for fs in &mut fleet {
-///     assert!(fs.device().scrub_epoch() >= 1);
+/// assert!(pass.is_complete());
+/// // Member 0 has now finished two passes, member 1 its first.
+/// for (fs, epoch) in fleet.iter_mut().zip([2, 1]) {
+///     assert_eq!(fs.device().scrub_epoch(), epoch);
 ///     fs.sync()?; // persist the advanced epochs
 /// }
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -1532,7 +1549,7 @@ mod tests {
             )
             .unwrap();
             foreground_ops += 1;
-            scrub.run_slice(fs.as_mut()).unwrap();
+            scrub.run_slice(fs.device_mut()).unwrap();
             assert!(foreground_ops < 1000, "scrub never completed");
         }
         let report = scrub.report();
@@ -1551,7 +1568,7 @@ mod tests {
         // Complete a pass in the background, then persist via sync.
         let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::greedy());
         while !scrub.is_complete() {
-            scrub.run_slice(fs.as_mut()).unwrap();
+            scrub.run_slice(fs.device_mut()).unwrap();
         }
         // A post-pass delta: one new heated file, one refused write.
         fs.create("late", &[9u8; 3000], WriteClass::Archival)
@@ -1645,7 +1662,7 @@ mod tests {
     fn cancelled_background_pass_keeps_fs_consistent() {
         let mut fs = populated_fs();
         let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::slice_budget(1).unwrap());
-        scrub.run_slice(fs.as_mut()).unwrap();
+        scrub.run_slice(fs.device_mut()).unwrap();
         scrub.cancel();
         assert_eq!(scrub.state(), SchedState::Cancelled);
         assert_eq!(fs.device().scrub_epoch(), 0, "no completed pass");

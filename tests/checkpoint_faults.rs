@@ -261,6 +261,25 @@ fn ballooned_scrub_length_is_truncation_not_overread() {
     }
 }
 
+/// The length prefix sits outside the CRC: a forged one is refused
+/// against the checkpoint region before any block past it is read, so
+/// mount never buffers data blocks as checkpoint bytes.
+#[test]
+fn ballooned_length_prefix_is_refused_before_reading_past_the_region() {
+    for forged in [17 * SECTOR_DATA_BYTES as u64, 200_000, u64::MAX] {
+        let (mut probe, _) = synced_fs(4, 4, 1);
+        let mut sector = probe.mrs(0).unwrap().data;
+        sector[..8].copy_from_slice(&forged.to_le_bytes());
+        probe.mws(0, &sector).unwrap();
+        match try_mount(&probe) {
+            Err(FsError::Corrupt { reason }) => {
+                assert!(reason.contains("checkpoint length"), "{reason}")
+            }
+            other => panic!("expected Corrupt for length {forged}, got {other:?}"),
+        }
+    }
+}
+
 /// Corruption confined to the scrub-state payload (checkpoint CRC still
 /// valid) is the sanctioned degraded path: the mount SUCCEEDS with the
 /// namespace intact, the bad record is rejected whole, and the next

@@ -162,9 +162,12 @@ proptest! {
         let delta_before = pass_work_list(&dev, ScrubMode::Incremental);
         let epoch_before = dev.scrub_epoch();
 
-        // Export, detach, attach, restore.
+        // Export, detach onto a fresh attach of the same medium (epoch 0,
+        // empty registry), rebuild, restore: the epoch and flags below can
+        // only come from the exported record.
         let state = dev.export_scrub_state();
-        dev.forget_registry();
+        let mut dev = SeroDevice::new(dev.probe().clone());
+        prop_assert_eq!(dev.scrub_epoch(), 0);
         dev.rebuild_registry().unwrap();
         let restore = dev.import_scrub_state(&state).unwrap();
         // Only informative records persist: the verified initial lines
@@ -197,7 +200,7 @@ fn remount_after_detach_scrubs_incrementally() {
     // Background pass covers everything; sync persists the epochs.
     let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::default());
     while !scrub.is_complete() {
-        match scrub.run_slice(fs.as_mut()).unwrap() {
+        match scrub.run_slice(fs.device_mut()).unwrap() {
             SliceOutcome::Throttled { resume_at_ns } => {
                 let now = fs.device().probe().clock().elapsed_ns();
                 fs.device_mut()
@@ -255,7 +258,7 @@ fn cancelled_fs_pass_keeps_epoch_and_next_pass_covers_remainder() {
         fs.heat(&name, vec![], i as u64).unwrap();
     }
     let mut scrub = ScrubScheduler::start(fs.device(), SchedConfig::slice_budget(1).unwrap());
-    scrub.run_slice(fs.as_mut()).unwrap();
+    scrub.run_slice(fs.device_mut()).unwrap();
     scrub.cancel();
     assert_eq!(fs.device().scrub_epoch(), 0, "cancelled pass never counts");
     let verified = scrub.report().outcomes.len();
