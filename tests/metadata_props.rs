@@ -12,7 +12,9 @@ use sero::core::device::SeroDevice;
 use sero::fs::alloc::WriteClass;
 use sero::fs::error::FsError;
 use sero::fs::fs::{FsConfig, SeroFs};
+use sero::fs::inode::MAX_NAME_BYTES;
 use sero::index::{IndexGeometry, MetaIndex, VecStore};
+use sero::proto::{Request, Response, MAX_PAYLOAD_BYTES};
 use std::collections::{BTreeMap, BTreeSet};
 
 const INDEX_PAGES: u64 = 512;
@@ -354,5 +356,146 @@ fn fill_index_region(name: impl Fn(usize) -> String) {
         if !removed.contains(n) {
             assert_eq!(remounted.read(n).unwrap(), payload(i), "{n} after remount");
         }
+    }
+}
+
+/// The `List` page the wire must answer, from the `BTreeMap` model: the
+/// names after `cursor` (exclusive, so a removed cursor still resumes),
+/// at most `limit` of them (`0` = no caller cap), stopping before the
+/// name whose 4-byte length prefix and bytes would push the page past
+/// half a frame payload (the first name always goes in), and `next` =
+/// the page's last name exactly when names remain after the page.
+fn model_page(model: &BTreeMap<String, u64>, cursor: Option<&str>, limit: u32) -> Response {
+    let tail: Vec<&String> = model
+        .keys()
+        .filter(|n| cursor.is_none_or(|c| n.as_str() > c))
+        .collect();
+    let mut names: Vec<String> = Vec::new();
+    let mut bytes = 0;
+    for name in &tail {
+        bytes += 4 + name.len();
+        let capped = limit != 0 && names.len() == limit as usize;
+        if capped || (bytes > MAX_PAYLOAD_BYTES / 2 && !names.is_empty()) {
+            break;
+        }
+        names.push(name.to_string());
+    }
+    let next = if names.len() < tail.len() {
+        names.last().cloned()
+    } else {
+        None
+    };
+    Response::Names { names, next }
+}
+
+fn list_page(fs: &mut SeroFs, cursor: Option<&str>, limit: u32) -> Response {
+    fs.handle(Request::List {
+        cursor: cursor.map(str::to_string),
+        limit,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Wire `List` pages equal the model's pages while creates and
+    /// removes (the cursor name itself included) run between pages, on
+    /// both metadata layouts. Besides resuming from the walk's own
+    /// cursor, scripts list from a cursor past the last name, with
+    /// `limit 0`, and with `limit` = the namespace size, so the page ends
+    /// exactly at the last name and `next` must be `None`.
+    #[test]
+    fn list_pages_agree_with_btreemap_model(
+        ops in proptest::collection::vec((0u8..10, any::<u8>(), 0u32..6), 1..64),
+    ) {
+        for config in [FsConfig::default(), FsConfig::indexed()] {
+            let mut fs = SeroFs::format(SeroDevice::with_blocks(1024), config).unwrap();
+            let mut model: BTreeMap<String, u64> = BTreeMap::new();
+            let mut cursor: Option<String> = None;
+            for &(tag, k, limit) in &ops {
+                // Mixed widths ("f7", "f07", "f007") interleave in sort order.
+                let name = format!("f{:0w$}", k % 24, w = 1 + usize::from(k / 24) % 3);
+                let (at, limit) = match tag {
+                    0..=2 => {
+                        if let std::collections::btree_map::Entry::Vacant(slot) = model.entry(name) {
+                            let ino = fs.create(slot.key(), &[k], WriteClass::Normal).unwrap();
+                            slot.insert(ino);
+                        }
+                        continue;
+                    }
+                    3 => {
+                        if model.remove(&name).is_some() {
+                            fs.remove(&name).unwrap();
+                        }
+                        continue;
+                    }
+                    4 => {
+                        if let Some(c) = cursor.as_deref().filter(|c| model.contains_key(*c)) {
+                            fs.remove(c).unwrap();
+                            model.remove(c);
+                        }
+                        continue;
+                    }
+                    5..=7 => (cursor.clone(), limit),
+                    8 => (Some("~".to_string()), limit),
+                    _ => (None, model.len() as u32),
+                };
+                let got = list_page(&mut fs, at.as_deref(), limit);
+                let want = model_page(&model, at.as_deref(), limit);
+                prop_assert_eq!(&got, &want, "cursor {:?} limit {}", at, limit);
+                if let Response::Names { next, .. } = got {
+                    if tag <= 7 {
+                        cursor = next;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Pages of maximum-length names break at the byte budget, not at the
+/// caller's larger `limit`, and the walk resumes past its cursor after
+/// the cursor name and its successor are removed — on both layouts.
+#[test]
+fn list_pages_break_at_the_byte_budget() {
+    let fits = MAX_PAYLOAD_BYTES / 2 / (4 + MAX_NAME_BYTES);
+    let count = fits + 3;
+    let index_blocks = 8192;
+    for config in [
+        FsConfig::default(),
+        FsConfig {
+            index_blocks,
+            ..FsConfig::indexed()
+        },
+    ] {
+        let blocks =
+            (config.checkpoint_blocks + index_blocks + count as u64 + 512).next_multiple_of(64);
+        let mut fs = SeroFs::format(SeroDevice::with_blocks(blocks), config).unwrap();
+        let mut model: BTreeMap<String, u64> = BTreeMap::new();
+        for i in 0..count {
+            let name = format!("{i:05}-{}", "b".repeat(MAX_NAME_BYTES - 6));
+            let ino = fs.create(&name, &[], WriteClass::Normal).unwrap();
+            model.insert(name, ino);
+        }
+        let limit = count as u32;
+        let first = list_page(&mut fs, None, limit);
+        assert_eq!(first, model_page(&model, None, limit));
+        let Response::Names { names, next } = first else {
+            unreachable!()
+        };
+        assert_eq!(
+            names.len(),
+            fits,
+            "the byte budget, not the limit, ends the page"
+        );
+        let cursor = next.expect("names remain after a budget break");
+        let successor = model.keys().nth(fits).unwrap().clone();
+        for gone in [&cursor, &successor] {
+            fs.remove(gone).unwrap();
+            model.remove(gone);
+        }
+        let second = list_page(&mut fs, Some(&cursor), 0);
+        assert_eq!(second, model_page(&model, Some(&cursor), 0));
+        assert!(matches!(second, Response::Names { ref names, next: None } if names.len() == 2));
     }
 }
