@@ -46,6 +46,7 @@ use sero_proto::{
     ErrorCode, Request, Response, WireClass, WireError, WireFileInfo, WireMemberStatus,
     WireSchedState, WireScrubStatus, WireSliceOutcome, WireVerdict,
 };
+use std::ops::Bound::{Excluded, Unbounded};
 
 impl From<FsError> for WireError {
     fn from(e: FsError) -> WireError {
@@ -195,37 +196,33 @@ impl SeroFs {
         }
     }
 
-    /// One page of the listing: names after `cursor` (exclusive), capped
-    /// by `limit` (0 = no caller cap) and by a byte budget of half the
-    /// frame payload limit — so the encoded [`Response::Names`] can never
-    /// trip the frame encoder no matter how many files exist.
-    fn handle_list(&mut self, cursor: Option<&str>, limit: u32) -> Response {
+    /// One page of the listing, walked off the directory B-tree: names
+    /// after `cursor` (exclusive), capped by `limit` (0 = no caller cap)
+    /// and by a byte budget of half the frame payload limit, so the
+    /// encoded [`Response::Names`] can never trip the frame encoder no
+    /// matter how many files exist. The first name always goes in.
+    ///
+    /// A page costs O(page + log n), not O(namespace): one descent to the
+    /// cursor's successor (a range bound, so a name removed between pages
+    /// does not strand the cursor), then one step per name, plus a
+    /// one-name lookahead. The walk stops on the first name it does not
+    /// take, and that name is the proof that names remain, so `next` is
+    /// the page's last name exactly when the listing continues.
+    fn handle_list(&self, cursor: Option<&str>, limit: u32) -> Response {
         const PAGE_BYTE_BUDGET: usize = sero_proto::MAX_PAYLOAD_BYTES / 2;
-        let all = self.list();
-        let start = match cursor {
-            // Names are listed in sorted order, so the resume point is a
-            // partition, not a scan for an exact match — a name removed
-            // between pages does not strand the cursor.
-            Some(c) => all.partition_point(|n| n.as_str() <= c),
-            None => 0,
-        };
+        let lower = cursor.map_or(Unbounded, Excluded);
         let mut names = Vec::new();
         let mut bytes = 0usize;
-        for name in &all[start..] {
-            if limit != 0 && names.len() as u32 >= limit {
-                break;
-            }
+        let mut next = None;
+        for (name, _) in self.directory.range::<str, _>((lower, Unbounded)) {
             bytes += 4 + name.len();
-            if bytes > PAGE_BYTE_BUDGET && !names.is_empty() {
+            let full = limit != 0 && names.len() as u32 >= limit;
+            if full || (bytes > PAGE_BYTE_BUDGET && !names.is_empty()) {
+                next = names.last().cloned();
                 break;
             }
             names.push(name.clone());
         }
-        let next = if start + names.len() < all.len() {
-            names.last().cloned()
-        } else {
-            None
-        };
         Response::Names { names, next }
     }
 
