@@ -1,7 +1,7 @@
 //! BENCH-COMPARE — diff a regenerated `BENCH_*.json` against its committed
 //! baseline.
 //!
-//! Usage: `bench_compare <baseline.json> <candidate.json> [--threshold 0.20]`
+//! Usage: `bench_compare <baseline.json> <candidate.json> [--threshold 0]`
 //!
 //! Compares every numeric leaf under the `"metrics"` object (the
 //! deterministic simulated-device numbers — see the schema in
@@ -18,8 +18,9 @@
 //!   `BENCH_scrub.json` against `BENCH_registry.json` is a harness bug,
 //!   not a drift).
 //!
-//! CI runs this as a non-blocking step, so a red result is a signal, not a
-//! gate.
+//! CI runs this as a blocking step at `--threshold 0` (also the
+//! default): the compared numbers are deterministic, so any drift fails
+//! the build.
 
 use sero_bench::json::Json;
 use sero_bench::row;
@@ -58,7 +59,7 @@ fn load_doc(path: &str) -> Result<BenchDoc, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threshold = 0.20f64;
+    let mut threshold = 0.0f64;
     let mut files = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -75,7 +76,7 @@ fn main() -> ExitCode {
         }
     }
     let [baseline_path, candidate_path] = files.as_slice() else {
-        eprintln!("usage: bench_compare <baseline.json> <candidate.json> [--threshold 0.20]");
+        eprintln!("usage: bench_compare <baseline.json> <candidate.json> [--threshold 0]");
         return ExitCode::from(2);
     };
 

@@ -16,7 +16,7 @@
 //! All compared numbers are deterministic simulated-device time: the
 //! fault plan draws from its own seeded RNG stream, so the same traffic
 //! meets the same faults on every host. Emits `BENCH_faults.json`
-//! (schema `sero-bench/v1`, compared **blocking** in CI at ±20%).
+//! (schema `sero-bench/v1`, compared **blocking** and exactly in CI).
 //! `SERO_BENCH_FAST=1` shrinks the traffic stream for CI.
 
 use sero_bench::json::Json;

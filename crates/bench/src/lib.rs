@@ -47,14 +47,17 @@
 //!
 //! That split is also the CI gating policy. The **metric allowlist** —
 //! everything the blocking compare sees — is exactly the numeric leaves
-//! of `"metrics"`; the **threshold** is ±20% (`--threshold 0.20`),
-//! generous against incidental drift (an extra seek here, a rounding
-//! change there) while still catching a regressed fast path or a broken
-//! scheduler. Because the allowlisted numbers are deterministic, the
-//! `bench-baselines` CI job runs `bench_compare` as a **blocking** step:
-//! drift or a missing metric fails the build, and the fix is either to
-//! repair the regression or to regenerate and commit the baseline with
-//! the change that justifies it. Wall-clock numbers stay non-blocking by
+//! of `"metrics"`; the **threshold** is zero (`--threshold 0`). The
+//! allowlisted numbers are deterministic, so a regeneration either
+//! reproduces the committed baseline bit for bit or something changed
+//! what the simulated device does: an extra seek, a different line
+//! count, a moved RNG stream. Any drift therefore blocks, and the
+//! `bench-baselines` CI job runs `bench_compare` as a **blocking** step.
+//! A tolerance would only hide such changes: at ±20% a PR could add 19%
+//! device time, or change how many lines a pass verifies, and stay
+//! green. The fix for a failing compare is either to repair the change
+//! or to regenerate, in the same PR, only the baselines that moved and
+//! say why each value moved. Wall-clock numbers stay non-blocking by
 //! construction — they live under `"host"`, which the compare never
 //! reads, and the Criterion `bench-smoke` job that does measure host time
 //! keeps its `continue-on-error`. Non-JSON artifacts (the `exp_sched`
