@@ -1488,11 +1488,13 @@ impl SeroDevice {
     /// [`SeroDevice::refresh_registry_crawl`]. Result-identical to the
     /// batched path but pays a full seek (and settle) per block —
     /// `exp_registry` benchmarks the two against each other and the
-    /// property tests pin the equivalence.
+    /// property tests pin the equivalence. Built only for tests and under
+    /// the `oracle` feature.
     ///
     /// # Errors
     ///
     /// Propagates sector-level errors (out-of-range cannot occur here).
+    #[cfg(any(test, feature = "oracle"))]
     pub fn rebuild_registry_crawl(&mut self) -> Result<RegistryScan, SeroError> {
         self.registry.clear();
         self.refresh_registry_crawl()
@@ -1618,11 +1620,13 @@ impl SeroDevice {
     /// The per-block reference refresh: identical decisions to
     /// [`SeroDevice::refresh_registry`], but every pre-probe and candidate
     /// scan pays its own full seek. Kept as the benchmark baseline and the
-    /// property-test oracle for the batched path.
+    /// property-test oracle for the batched path, so it is built only for
+    /// tests and under the `oracle` feature.
     ///
     /// # Errors
     ///
     /// Propagates sector-level errors (out-of-range cannot occur here).
+    #[cfg(any(test, feature = "oracle"))]
     pub fn refresh_registry_crawl(&mut self) -> Result<RegistryScan, SeroError> {
         let mut result = RegistryScan::default();
         let known: Vec<Line> = self.registry.values().map(|r| r.line).collect();
