@@ -53,11 +53,11 @@
 //! what the simulated device does: an extra seek, a different line
 //! count, a moved RNG stream. Any drift therefore blocks, and the
 //! `bench-baselines` CI job runs `bench_compare` as a **blocking** step.
-//! A tolerance would only hide such changes: at ±20% a PR could add 19%
-//! device time, or change how many lines a pass verifies, and stay
+//! A tolerance would only hide such changes: at ±20% a change could add
+//! 19% device time, or change how many lines a pass verifies, and stay
 //! green. The fix for a failing compare is either to repair the change
-//! or to regenerate, in the same PR, only the baselines that moved and
-//! say why each value moved. Wall-clock numbers stay non-blocking by
+//! or to regenerate, in the same change, only the baselines that moved,
+//! and say why each value moved. Wall-clock numbers stay non-blocking by
 //! construction — they live under `"host"`, which the compare never
 //! reads, and the Criterion `bench-smoke` job that does measure host time
 //! keeps its `continue-on-error`. Non-JSON artifacts (the `exp_sched`
