@@ -41,13 +41,11 @@
 //! pause/resume/cancel work between slices, a cancelled pass never
 //! advances the completed epoch, and evidence is byte-identical to an
 //! exclusive pass (`tests/fleet_props.rs` extends that equivalence to
-//! arbitrary cross-device interleavings). Fleet slices run un-locked
-//! ([`ScrubScheduler::run_slice`]): the fleet driver owns its member
-//! devices exclusively between foreground phases. A device served
-//! concurrently through `sero-fs`'s `ConcurrentFs` instead takes the locked
-//! path ([`ScrubScheduler::run_slice_locked`]) so in-flight foreground
-//! writes defer scrub per line — see the concurrency model in
-//! `docs/ARCHITECTURE.md`.
+//! arbitrary cross-device interleavings). Fleet slices run through
+//! [`ScrubScheduler::run_slice`]: the fleet driver owns its member
+//! devices exclusively between foreground phases, just as a device served
+//! through `sero-fs`'s `ConcurrentFs` is owned by the window holding its
+//! mutex — see the concurrency model in `docs/ARCHITECTURE.md`.
 //!
 //! # Examples
 //!

@@ -296,9 +296,10 @@ impl InstructionJournal {
 
     /// Records the completion of a scrub pass as a sealed-history audit
     /// entry: "who verified what, when" becomes tamper-evident alongside
-    /// the host instructions. The background scheduler (or any scrub
-    /// driver) calls this after [`crate::scrub::scrub_device`] /
-    /// [`crate::sched::ScrubScheduler`] finishes a pass.
+    /// the host instructions. It is the sealing primitive for a pass
+    /// summary from [`crate::scrub::scrub_device`] or
+    /// [`crate::sched::ScrubScheduler`], but no scrub driver seals its
+    /// passes yet: neither the schedulers nor the file system call it.
     ///
     /// # Errors
     ///

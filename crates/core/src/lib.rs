@@ -58,7 +58,6 @@ pub mod fleet;
 pub mod journal;
 pub mod layout;
 pub mod line;
-pub mod locks;
 pub mod sched;
 pub mod scrub;
 pub mod tamper;
@@ -68,7 +67,6 @@ pub use device::{LoadProbe, SeroDevice, SeroError};
 pub use faults::{FaultPlan, FaultStats, RetryPolicy};
 pub use fleet::{AdaptiveBudget, FleetConfig, FleetScheduler, FleetSliceOutcome};
 pub use line::Line;
-pub use locks::{LineLockTable, LineReadGuard, LineWriteGuard};
 pub use sched::{
     SchedConfig, SchedConfigError, SchedProgress, SchedState, ScrubScheduler, SliceOutcome,
 };
@@ -89,7 +87,6 @@ pub mod prelude {
     };
     pub use crate::layout::HashBlockPayload;
     pub use crate::line::Line;
-    pub use crate::locks::{LineLockTable, LineReadGuard, LineWriteGuard};
     pub use crate::sched::{
         SchedConfig, SchedConfigError, SchedProgress, SchedState, ScrubScheduler, SliceOutcome,
     };

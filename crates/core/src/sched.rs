@@ -27,12 +27,11 @@
 //!   without this, the slice's travel dwarfs its budget and background
 //!   scrub costs *more* foreground latency than stop-the-world
 //!   (`exp_sched` measures exactly that trade-off);
-//! * slices can run **under the line-lock discipline**:
-//!   [`ScrubScheduler::run_slice_locked`] `try_read`-locks each line on a
-//!   [`crate::locks::LineLockTable`] before verifying it, deferring (not
-//!   waiting on) any line a foreground writer or auditor holds — the
-//!   concurrent foreground core's "scrub never reads a line mid-write"
-//!   invariant (see `docs/ARCHITECTURE.md`);
+//! * a slice needs **exclusive access to the device** (`&mut
+//!   SeroDevice`), so it can never overlap a foreground write: the served
+//!   stack runs each slice inside the same window mutex as every other
+//!   request, which is what makes "scrub never reads a line mid-write"
+//!   hold (see `docs/ARCHITECTURE.md`);
 //! * the pass is **pausable, resumable, and cancellable** between
 //!   slices. A cancelled pass leaves the device's completed-pass epoch
 //!   untouched — only a pass that drained its work list calls
@@ -517,53 +516,6 @@ impl ScrubScheduler {
     /// range); tamper findings are data in the outcomes. A failed slice
     /// leaves the scheduler consistent — the failing line stays queued.
     pub fn run_slice(&mut self, dev: &mut SeroDevice) -> Result<SliceOutcome, SeroError> {
-        self.run_slice_inner(dev, None)
-    }
-
-    /// [`ScrubScheduler::run_slice`] under the line-lock discipline: each
-    /// candidate line is `try_read`-locked on `locks` for the duration of
-    /// its verification. A line some other holder has write-locked (an
-    /// in-flight foreground mutation, an auditor pin) is **deferred** —
-    /// it stays queued for a later slice and the slice moves to the next
-    /// nearest line — never waited on: the caller already holds the
-    /// device, and the ordering discipline (see [`crate::locks`]) forbids
-    /// blocking on a line lock from there. A slice whose every remaining
-    /// line is contended returns `Ran { lines: 0, .. }` and leaves the
-    /// pass incomplete.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`ScrubScheduler::run_slice`].
-    pub fn run_slice_locked(
-        &mut self,
-        dev: &mut SeroDevice,
-        locks: &crate::locks::LineLockTable,
-    ) -> Result<SliceOutcome, SeroError> {
-        self.run_slice_inner(dev, Some(locks))
-    }
-
-    /// Index of the pending line nearest `pos` whose start is not in
-    /// `deferred` (`None` when every pending line is deferred). The
-    /// binary-search [`ScrubScheduler::nearest_idx`] covers the common
-    /// no-contention case; this linear scan only runs once a slice has
-    /// actually hit a locked line.
-    fn nearest_idx_excluding(&self, pos: u64, deferred: &[u64]) -> Option<usize> {
-        if deferred.is_empty() {
-            return Some(self.nearest_idx(pos));
-        }
-        self.work
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| !deferred.contains(&l.start()))
-            .min_by_key(|(_, l)| l.hash_block().abs_diff(pos))
-            .map(|(i, _)| i)
-    }
-
-    fn run_slice_inner(
-        &mut self,
-        dev: &mut SeroDevice,
-        locks: Option<&crate::locks::LineLockTable>,
-    ) -> Result<SliceOutcome, SeroError> {
         match self.state {
             SchedState::Paused => return Ok(SliceOutcome::Paused),
             SchedState::Cancelled | SchedState::Complete => return Ok(SliceOutcome::Idle),
@@ -581,9 +533,6 @@ impl ScrubScheduler {
 
         let mut lines = 0usize;
         let mut failure: Option<SeroError> = None;
-        // Lines found write-locked this slice: left queued, skipped by the
-        // selection below (only populated on the locked path).
-        let mut deferred: Vec<u64> = Vec::new();
         while !self.work.is_empty() {
             let spent = (dev.probe().clock().elapsed_ns() - slice_start) as u64;
             // Progress guarantee: the first line of a slice always runs.
@@ -598,23 +547,8 @@ impl ScrubScheduler {
             // neither opens with a cross-device seek nor strands the
             // next foreground request far from its working set — and
             // later picks walk outward over adjacent lines.
-            let idx = match self.nearest_idx_excluding(dev.probe().position_block(), &deferred) {
-                Some(idx) => idx,
-                None => break, // every pending line is contended; yield
-            };
+            let idx = self.nearest_idx(dev.probe().position_block());
             let line = self.work[idx];
-            // Lock-ordering discipline: already holding the device, so a
-            // contended line is deferred, never waited on.
-            let _line_guard = match locks {
-                Some(table) => match table.try_read(line.start()) {
-                    Some(guard) => Some(guard),
-                    None => {
-                        deferred.push(line.start());
-                        continue;
-                    }
-                },
-                None => None,
-            };
             let t0 = dev.probe().clock().elapsed_ns();
             let outcome = match dev.verify_line(line) {
                 Ok(outcome) => outcome,
@@ -999,64 +933,6 @@ mod tests {
         let (dev, _) = heated_device(64, 3, 2);
         let mut sched = ScrubScheduler::start(&dev, SchedConfig::default());
         sched.set_budget_ns(0);
-    }
-
-    #[test]
-    fn locked_slices_match_unlocked_when_uncontended() {
-        let table = crate::locks::LineLockTable::new();
-        let (mut locked_dev, _) = heated_device(256, 3, 12);
-        let (mut plain_dev, _) = heated_device(256, 3, 12);
-        let config = SchedConfig::slice_budget(2_000_000).unwrap();
-        let mut locked = ScrubScheduler::start(&locked_dev, config);
-        let mut plain = ScrubScheduler::start(&plain_dev, config);
-        while !locked.is_complete() {
-            locked.run_slice_locked(&mut locked_dev, &table).unwrap();
-        }
-        drain(&mut plain, &mut plain_dev);
-        assert_eq!(locked.report().outcomes, plain.report().outcomes);
-        assert_eq!(
-            locked_dev.probe().clock().elapsed_ns(),
-            plain_dev.probe().clock().elapsed_ns(),
-            "uncontended locking must not change device time"
-        );
-    }
-
-    #[test]
-    fn contended_line_is_deferred_not_waited_on() {
-        let table = crate::locks::LineLockTable::new();
-        let (mut dev, lines) = heated_device(256, 3, 4);
-        let pinned = lines[1];
-        let guard = table.write(pinned.start());
-        let mut sched = ScrubScheduler::start(&dev, SchedConfig::greedy());
-
-        // The greedy slice must verify everything *except* the pinned line
-        // and return without blocking on it.
-        match sched.run_slice_locked(&mut dev, &table).unwrap() {
-            SliceOutcome::Ran { lines: n, .. } => assert_eq!(n, 3),
-            other => panic!("{other:?}"),
-        }
-        assert!(
-            !sched.is_complete(),
-            "the deferred line keeps the pass open"
-        );
-        assert_eq!(sched.progress().remaining, 1);
-
-        // With every remaining line contended, a slice yields empty-handed.
-        match sched.run_slice_locked(&mut dev, &table).unwrap() {
-            SliceOutcome::Ran { lines: n, .. } => assert_eq!(n, 0),
-            other => panic!("{other:?}"),
-        }
-
-        // Once the writer drops, the next slice finishes the pass.
-        drop(guard);
-        match sched.run_slice_locked(&mut dev, &table).unwrap() {
-            SliceOutcome::Ran { lines: n, .. } => assert_eq!(n, 1),
-            other => panic!("{other:?}"),
-        }
-        assert!(sched.is_complete());
-        assert_eq!(dev.scrub_epoch(), 1);
-        let record = dev.heated_lines().find(|r| r.line == pinned).unwrap();
-        assert_eq!(record.verified_epoch, 1, "deferred line still got covered");
     }
 
     #[test]

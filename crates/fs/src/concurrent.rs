@@ -27,20 +27,14 @@
 //! take the lock — one valid interleaving, with no cross-thread ordering
 //! promise beyond linearizability.
 //!
-//! # Scrub and the line-lock discipline
+//! # Scrub
 //!
-//! Scrub ticks arriving through `handle` run
-//! [`ScrubScheduler::run_slice_locked`] against the shared
-//! [`LineLockTable`] (see [`ConcurrentFs::line_locks`]): every line the
-//! slice verifies is `try_read`-locked for the duration, and a line some
-//! other holder has pinned is deferred to a later slice — never waited
-//! on, because the window already holds the device and the ordering
-//! discipline ([`sero_core::locks`]) forbids blocking upward. External
-//! holders (an auditor pinning a line mid-verification) take locks
-//! through [`ConcurrentFs::line_locks`] *without* holding the device, so
-//! they may block freely.
-//!
-//! [`ScrubScheduler::run_slice_locked`]: sero_core::sched::ScrubScheduler::run_slice_locked
+//! A [`Request::ScrubTick`] is not special here: it executes through
+//! [`SeroFs::handle`] like any other non-read request, inside the window
+//! that holds the lock. The window mutex is the only serialization
+//! mechanism, so a scrub slice never overlaps a foreground write and
+//! never reads a line mid-write; `concurrency_props` checks that the
+//! evidence matches the serialized schedule byte for byte.
 //!
 //! # Examples
 //!
@@ -77,7 +71,6 @@
 use crate::error::FsError;
 use crate::fs::SeroFs;
 use sero_core::admission::{AdmissionQueues, AdmissionStats, FgOp, FgResult, Ticket};
-use sero_core::locks::LineLockTable;
 use sero_core::tamper::VerifyOutcome;
 use sero_proto::{ErrorCode, Request, Response, WireError, WireVerdict};
 use std::collections::HashMap;
@@ -93,16 +86,11 @@ struct Core {
     admission: AdmissionQueues,
 }
 
-struct Shared {
-    core: Mutex<Core>,
-    locks: LineLockTable,
-}
-
 /// A cloneable, thread-safe handle to one [`SeroFs`]. See the
 /// [module docs](self) for the batching model.
 #[derive(Clone)]
 pub struct ConcurrentFs {
-    shared: Arc<Shared>,
+    core: Arc<Mutex<Core>>,
 }
 
 fn lock_ignoring_poison<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -120,35 +108,25 @@ impl ConcurrentFs {
     pub fn new(fs: SeroFs) -> ConcurrentFs {
         let blocks = fs.device().block_count();
         ConcurrentFs {
-            shared: Arc::new(Shared {
-                core: Mutex::new(Core {
-                    fs,
-                    admission: AdmissionQueues::new(blocks, ADMISSION_REGIONS),
-                }),
-                locks: LineLockTable::new(),
-            }),
+            core: Arc::new(Mutex::new(Core {
+                fs,
+                admission: AdmissionQueues::new(blocks, ADMISSION_REGIONS),
+            })),
         }
-    }
-
-    /// The shared line-lock table. External verification pins acquire
-    /// here *without* holding the device; scrub slices inside a window
-    /// `try_read` against it and defer contended lines.
-    pub fn line_locks(&self) -> &LineLockTable {
-        &self.shared.locks
     }
 
     /// Admission merge counters so far (blocks deduplicated, ops merged,
     /// fallbacks) — the observable proof that queue depth turned into
     /// bulk transfers.
     pub fn admission_stats(&self) -> AdmissionStats {
-        lock_ignoring_poison(&self.shared.core).admission.stats()
+        lock_ignoring_poison(&self.core).admission.stats()
     }
 
     /// Runs `f` with exclusive access to the underlying [`SeroFs`] — the
     /// maintenance hatch for embedders (mount-time checks, tests,
     /// benchmarks). Blocks until the window in progress finishes.
     pub fn with_fs<R>(&self, f: impl FnOnce(&mut SeroFs) -> R) -> R {
-        f(&mut lock_ignoring_poison(&self.shared.core).fs)
+        f(&mut lock_ignoring_poison(&self.core).fs)
     }
 
     /// Executes one wire [`Request`] and returns its [`Response`] — a
@@ -169,17 +147,13 @@ impl ConcurrentFs {
     /// the reactor, the deterministic benches and the proptests model `n`
     /// clients arriving together.
     pub fn handle_batch(&self, requests: Vec<Request>) -> Vec<Response> {
-        let mut core = lock_ignoring_poison(&self.shared.core);
+        let mut core = lock_ignoring_poison(&self.core);
         let mut responses = Vec::with_capacity(requests.len());
         let mut run: Vec<ReadClass> = Vec::new();
         for request in requests {
             match request {
                 Request::Read { name } => run.push(ReadClass::Read(name)),
                 Request::Verify { name } => run.push(ReadClass::Verify(name)),
-                Request::ScrubTick => {
-                    core.flush_read_run(&mut run, &mut responses);
-                    responses.push(core.fs.scrub_tick_locked(Some(&self.shared.locks)));
-                }
                 other => {
                     core.flush_read_run(&mut run, &mut responses);
                     responses.push(core.fs.handle(other));
@@ -307,7 +281,7 @@ mod tests {
     use crate::fs::FsConfig;
     use sero_core::device::SeroDevice;
     use sero_probe::sector::SECTOR_DATA_BYTES;
-    use sero_proto::{WireClass, WireSchedState, WireSliceOutcome};
+    use sero_proto::{WireClass, WireSchedState};
     use std::thread;
 
     fn fresh(blocks: u64) -> ConcurrentFs {
@@ -452,50 +426,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_line_defers_scrub_then_completes() {
-        let cfs = fresh(512);
-        create(&cfs, "pinned", &[9u8; 1100]);
-        let line = match cfs.handle(Request::Heat {
-            name: "pinned".into(),
-            metadata: vec![],
-            timestamp: 1,
-        }) {
-            Response::Heated { line } => line.to_line().unwrap(),
-            other => panic!("{other:?}"),
-        };
-        cfs.handle(Request::ScrubStart {
-            budget_ns: 0,
-            quantum_ns: 0,
-            incremental: false,
-        });
-
-        // An auditor pins the line (no device held → may block-lock);
-        // scrub ticks must defer it rather than deadlock.
-        let guard = cfs.line_locks().write(line.start());
-        match cfs.handle(Request::ScrubTick) {
-            Response::ScrubTicked { outcome, status } => {
-                assert_eq!(
-                    outcome,
-                    WireSliceOutcome::Ran {
-                        lines: 0,
-                        device_ns: 0
-                    }
-                );
-                assert_eq!(status.state, WireSchedState::Running);
-            }
-            other => panic!("{other:?}"),
-        }
-        drop(guard);
-        match cfs.handle(Request::ScrubTick) {
-            Response::ScrubTicked { status, .. } => {
-                assert_eq!(status.state, WireSchedState::Complete);
-                assert_eq!(status.verified, 1);
-            }
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn tamper_evidence_crosses_the_concurrent_path() {
         let cfs = fresh(512);
         create(&cfs, "vault", &[3u8; 1200]);
@@ -554,7 +484,7 @@ mod tests {
         let poisoner = cfs.clone();
         let panicked = thread::spawn(move || poisoner.with_fs(|_| panic!("embedder bug")));
         assert!(panicked.join().is_err());
-        assert!(cfs.shared.core.is_poisoned());
+        assert!(cfs.core.is_poisoned());
 
         let script = vec![
             Request::Read {

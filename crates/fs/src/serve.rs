@@ -37,7 +37,6 @@
 use crate::alloc::WriteClass;
 use crate::error::FsError;
 use crate::fs::SeroFs;
-use sero_core::locks::LineLockTable;
 use sero_core::sched::{SchedConfig, SchedState, ScrubScheduler, SliceOutcome};
 use sero_core::scrub::{ScrubConfig, ScrubMode};
 use sero_core::tamper::VerifyOutcome;
@@ -278,15 +277,6 @@ impl SeroFs {
     }
 
     fn handle_scrub_tick(&mut self) -> Response {
-        self.scrub_tick_locked(None)
-    }
-
-    /// [`handle_scrub_tick`](Self::handle) with an optional line-lock
-    /// table: [`ConcurrentFs`](crate::concurrent::ConcurrentFs) passes
-    /// its shared table so the slice runs under the reader-writer line
-    /// discipline ([`ScrubScheduler::run_slice_locked`]) and defers lines
-    /// other holders have pinned instead of blocking on them.
-    pub(crate) fn scrub_tick_locked(&mut self, locks: Option<&LineLockTable>) -> Response {
         let mut sched = match self.service_scrub.take() {
             Some(s) => s,
             None => {
@@ -296,11 +286,7 @@ impl SeroFs {
                 ))
             }
         };
-        let slice = match locks {
-            Some(table) => sched.run_slice_locked(self.device_mut(), table),
-            None => sched.run_slice(self.device_mut()),
-        };
-        let outcome = match slice {
+        let outcome = match sched.run_slice(self.device_mut()) {
             Ok(o) => o,
             Err(e) => {
                 self.service_scrub = Some(sched);

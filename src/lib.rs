@@ -47,10 +47,10 @@
 //! Its `handle_batch` takes the lock once per window of requests (the
 //! daemon's reactor passes every request readable in one sweep) and lets
 //! the admission scheduler ([`core::admission`]) merge the window's
-//! queued reads into elevator sweeps, while budgeted scrub slices
-//! interleave under the [`core::locks`] line-lock discipline. Any
-//! interleaving answers byte-identically to the serialized schedule —
-//! tamper evidence included. `docs/ARCHITECTURE.md` documents the model
+//! queued reads into elevator sweeps, while budgeted scrub slices run
+//! inside windows under the same mutex. Any interleaving answers
+//! byte-identically to the serialized schedule — tamper evidence
+//! included. `docs/ARCHITECTURE.md` documents the model
 //! and its invariants; `examples/quickstart.rs` ends with a threaded
 //! demo.
 //!

@@ -8,14 +8,14 @@
 //! byte-identical to the serialized (depth-1) schedule, and to a plain
 //! `SeroFs` handling the script one request at a time.
 //!
-//! The lock-ordering edge case gets its own property: a foreground
-//! writer pinning a heated line (a held [`LineLockTable`] write guard)
-//! while a budgeted scrub pass runs must *defer* that line — never
-//! deadlock, never record a partial digest — and the pass must still
-//! converge to the exclusive pass's evidence once the writer lets go.
+//! The window mutex is the only thing that keeps a scrub slice from
+//! reading a line mid-write. A window of one through `ConcurrentFs` has
+//! no scrub path of its own: its responses, `ScrubTicked` slices
+//! included, equal a bare `SeroFs`'s exactly. The stress test below
+//! checks the same mutex under real thread contention.
 //!
 //! CI runs these once under `--test-threads=1` (determinism smoke) and
-//! once normally alongside the multi-threaded stress test below.
+//! once normally with the rest of the workspace.
 
 use proptest::prelude::*;
 use sero::core::device::{LineRecord, SeroDevice};
@@ -182,14 +182,17 @@ proptest! {
         // Twin 3: no ConcurrentFs at all — a bare SeroFs replay.
         let (mut bare, _) = build_fs(&victims);
         start_scrub(bare.handle(start));
-        for request in &requests {
-            bare.handle(request.clone());
-        }
+        let bare_responses: Vec<Response> =
+            requests.iter().map(|r| bare.handle(r.clone())).collect();
         let bare_pass = drain_scrub(|| bare.handle(Request::ScrubTick));
 
+        // A window of one runs the same code as a bare SeroFs, so the
+        // serialized schedule answers exactly as the bare replay does,
+        // ScrubTicked slices included.
+        prop_assert_eq!(&serial_responses, &bare_responses);
         // Scrub pacing is schedule-dependent (merged sweeps park the
-        // sled elsewhere), so ScrubTicked slice responses may differ;
-        // everything else must not.
+        // sled elsewhere), so chunked ScrubTicked slice responses may
+        // differ; everything else must not.
         for (i, request) in requests.iter().enumerate() {
             if !matches!(request, Request::ScrubTick) {
                 prop_assert_eq!(
@@ -224,73 +227,6 @@ proptest! {
         let chunked_registry = chunked.with_fs(|fs| registry(fs));
         prop_assert_eq!(&chunked_registry, &serial.with_fs(|fs| registry(fs)));
         prop_assert_eq!(&chunked_registry, &registry(&bare));
-    }
-
-    /// A foreground writer pinning heated lines while a budgeted pass
-    /// runs: the pass defers every pinned line (no deadlock, no partial
-    /// digest — a pinned line's record is untouched until the guard
-    /// drops) and still converges to the exclusive pass's evidence.
-    #[test]
-    fn pinned_lines_defer_cleanly_and_converge(
-        pinned_raw in proptest::collection::vec(0usize..ARCH, 1..ARCH),
-        victim in 0usize..ARCH,
-        held_ticks in 1usize..6,
-        budget_us in 120u64..600,
-    ) {
-        let pinned = dedupe(&pinned_raw);
-        let (fs, lines) = build_fs(&[victim]);
-        let before = registry(&fs);
-        let cfs = ConcurrentFs::new(fs);
-        start_scrub(cfs.handle(Request::ScrubStart {
-            budget_ns: budget_us * 1_000,
-            quantum_ns: 0,
-            incremental: false,
-        }));
-
-        {
-            let _guards: Vec<_> = pinned
-                .iter()
-                .map(|&p| cfs.line_locks().write(lines[p].start()))
-                .collect();
-            // Give the pass ample ticks to cover every unpinned line;
-            // each tick must return (the window defers, it never
-            // blocks on a held line) and must leave every pinned record
-            // exactly as it was — verified in full later, or not at all.
-            for _ in 0..held_ticks * 50 {
-                match cfs.handle(Request::ScrubTick) {
-                    Response::ScrubTicked { status, .. } => {
-                        prop_assert!(
-                            (status.verified as usize) <= ARCH - pinned.len(),
-                            "a pinned line was scrubbed while its writer held it"
-                        );
-                        prop_assert_ne!(status.state, WireSchedState::Complete);
-                    }
-                    other => panic!("scrub tick refused: {other:?}"),
-                }
-            }
-            let held = cfs.with_fs(|fs| registry(fs));
-            for &p in &pinned {
-                let start = lines[p].start();
-                let untouched = before.iter().find(|r| r.line.start() == start).unwrap();
-                let current = held.iter().find(|r| r.line.start() == start).unwrap();
-                prop_assert_eq!(untouched, current, "partial digest on a pinned line");
-            }
-        }
-
-        // Guards dropped: the pass finishes and the evidence matches the
-        // exclusive (never-contended) pass on an identical twin.
-        let (verified, tampered) = drain_scrub(|| cfs.handle(Request::ScrubTick));
-        prop_assert_eq!((verified, tampered), (ARCH as u64, 1));
-
-        let (mut twin, _) = build_fs(&[victim]);
-        start_scrub(twin.handle(Request::ScrubStart {
-            budget_ns: budget_us * 1_000,
-            quantum_ns: 0,
-            incremental: false,
-        }));
-        let twin_pass = drain_scrub(|| twin.handle(Request::ScrubTick));
-        prop_assert_eq!(twin_pass, (ARCH as u64, 1));
-        prop_assert_eq!(&cfs.with_fs(|fs| registry(fs)), &registry(&twin));
     }
 }
 
