@@ -66,9 +66,8 @@ fn replay(fs: &mut SeroFs, traffic: &[sero_workload::Op]) -> Vec<u128> {
 
 /// Full scrub pass, returning (device ms, lines verified, tampered).
 ///
-/// One worker, pinned: the default sizes the pool from the host's
-/// `available_parallelism()`, and the parallel pass's device time is the
-/// slowest worker's, so the baseline would track the host's core count.
+/// One worker, pinned: a parallel pass's device time is the slowest
+/// worker's, so the baseline would track the worker count.
 fn scrub(fs: &mut SeroFs) -> (f64, usize, usize) {
     let t0 = clock(fs);
     let report = scrub_device(fs.device_mut(), &ScrubConfig::with_workers(1)).expect("scrub pass");

@@ -724,7 +724,8 @@ impl SeroDevice {
         entry.digest = digest;
     }
 
-    /// Reads a WMRM or heated-data block magnetically.
+    /// Reads a WMRM or heated-data block magnetically: a
+    /// [`SeroDevice::read_blocks`] batch of one.
     ///
     /// # Errors
     ///
@@ -732,28 +733,11 @@ impl SeroDevice {
     /// protocol requires `ers` there); the refused line is flagged for the
     /// next incremental scrub. Sector errors otherwise.
     pub fn read_block(&mut self, pba: u64) -> Result<[u8; SECTOR_DATA_BYTES], SeroError> {
-        if let Some(line) = self.line_of(pba) {
-            if line.hash_block() == pba {
-                self.flag_line(line);
-                return Err(SeroError::HashBlockAccess { pba });
-            }
-        }
-        let start = self.probe.clock().elapsed_ns();
-        let sector = match self.probe.mrs(pba) {
-            Ok(sector) => sector,
-            Err(first) => match self.retry_read(pba, first) {
-                Ok(sector) => sector,
-                Err(e) => {
-                    self.quarantine_block(pba);
-                    return Err(SeroError::Sector(e));
-                }
-            },
-        };
-        self.load.note(start, self.probe.clock().elapsed_ns());
-        Ok(sector.data)
+        Ok(self.read_blocks(&[pba])?[0])
     }
 
-    /// Writes a block magnetically.
+    /// Writes a block magnetically: a [`SeroDevice::write_blocks`] batch of
+    /// one.
     ///
     /// # Errors
     ///
@@ -767,38 +751,24 @@ impl SeroDevice {
         pba: u64,
         data: &[u8; SECTOR_DATA_BYTES],
     ) -> Result<(), SeroError> {
-        if let Some(line) = self.line_of(pba) {
-            self.flag_line(line);
-            return Err(SeroError::ReadOnly { line, pba });
-        }
-        let start = self.probe.clock().elapsed_ns();
-        let report = self.probe.mws(pba, data)?;
-        let result = if report.unwritable_dots > 0 {
-            self.retry_write(pba, data, report.unwritable_dots)
-        } else {
-            Ok(())
-        };
-        self.load.note(start, self.probe.clock().elapsed_ns());
-        if result.is_err() {
-            self.quarantine_block(pba);
-        }
-        result
+        self.write_blocks(&[pba], std::slice::from_ref(data))
     }
 
-    /// Reads many blocks with the same protocol checks as
-    /// [`SeroDevice::read_block`], batching consecutive addresses into
-    /// extent transfers (one seek per run instead of one per block).
-    ///
-    /// The returned sectors are in `pbas` order. Addresses need not be
-    /// sorted or contiguous; each maximal ascending run becomes one
-    /// transfer.
-    ///
-    /// # Errors
-    ///
-    /// [`SeroError::HashBlockAccess`] if *any* requested block is a
-    /// registered hash block (checked up front, before any I/O); sector
-    /// errors abort at the failing block, as the single-block loop would.
-    pub fn read_blocks(&mut self, pbas: &[u64]) -> Result<Vec<[u8; SECTOR_DATA_BYTES]>, SeroError> {
+    /// Refuses a line that runs past the end of the device.
+    fn check_line(&self, line: Line) -> Result<(), SeroError> {
+        if line.end() > self.block_count() {
+            return Err(SeroError::Sector(SectorError::OutOfRange {
+                pba: line.end() - 1,
+                blocks: self.block_count(),
+            }));
+        }
+        Ok(())
+    }
+
+    /// Refuses magnetic access to registered hash blocks, up front and
+    /// before any I/O; the refused line is flagged for the next
+    /// incremental scrub.
+    fn refuse_hash_blocks(&mut self, pbas: &[u64]) -> Result<(), SeroError> {
         for &pba in pbas {
             if let Some(line) = self.line_of(pba) {
                 if line.hash_block() == pba {
@@ -807,22 +777,30 @@ impl SeroDevice {
                 }
             }
         }
-        let t0 = self.probe.clock().elapsed_ns();
-        let mut out = Vec::with_capacity(pbas.len());
-        for (start, count) in contiguous_runs(pbas) {
-            // Stream the run; on a sector fault, retry the failing block
-            // alone, then resume the stream right after it. Only a block
-            // that exhausts its retries aborts the batch (quarantined),
-            // exactly where the single-block loop would have stopped.
-            let mut done = 0u64;
-            while done < count {
-                let mut failure: Option<(u64, SectorError)> = None;
-                self.probe.read_blocks_with(
-                    start + done,
-                    count - done,
+        Ok(())
+    }
+
+    /// Streams the extent `[start, start + count)` into `sink`, one sector
+    /// at a time. A failing block is retried alone; once it recovers it is
+    /// delivered in place and the stream resumes right after it. A block
+    /// whose retries run out is quarantined and handed to `lost`: an `Err`
+    /// from `lost` stops the stream there, `Ok` carries on past the block.
+    fn stream_extent(
+        &mut self,
+        start: u64,
+        count: u64,
+        mut sink: impl FnMut(u64, &[u8; SECTOR_DATA_BYTES]),
+        mut lost: impl FnMut(u64, SectorError) -> Result<(), SeroError>,
+    ) -> Result<(), SeroError> {
+        let mut done = 0u64;
+        while done < count {
+            let mut failure: Option<(u64, SectorError)> = None;
+            self.probe
+                .read_block_runs_with(
+                    &[(start + done, count - done)],
                     |pba, sector| match sector {
                         Ok(sector) => {
-                            out.push(sector.data);
+                            sink(pba, &sector.data);
                             true
                         }
                         Err(e) => {
@@ -831,23 +809,48 @@ impl SeroDevice {
                         }
                     },
                 )?;
-                match failure {
-                    None => break,
-                    Some((pba, first)) => {
-                        done = pba - start;
-                        match self.retry_read(pba, first) {
-                            Ok(sector) => {
-                                out.push(sector.data);
-                                done += 1;
-                            }
-                            Err(e) => {
-                                self.quarantine_block(pba);
-                                return Err(SeroError::Sector(e));
-                            }
-                        }
-                    }
+            let Some((pba, first)) = failure else {
+                break;
+            };
+            done = pba - start + 1;
+            match self.retry_read(pba, first) {
+                Ok(sector) => sink(pba, &sector.data),
+                Err(e) => {
+                    self.quarantine_block(pba);
+                    lost(pba, e)?;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Reads many blocks magnetically, batching consecutive addresses into
+    /// extent transfers (one seek per run instead of one per block).
+    ///
+    /// The returned sectors are in `pbas` order. Addresses need not be
+    /// sorted or contiguous; each maximal ascending run becomes one
+    /// transfer. A faulting block is retried alone and the stream resumes
+    /// after it; a block that exhausts its retries is quarantined.
+    ///
+    /// # Errors
+    ///
+    /// [`SeroError::HashBlockAccess`] if *any* requested block is a
+    /// registered hash block (checked up front, before any I/O; the
+    /// refused line is flagged for the next incremental scrub);
+    /// a run past the end of the device fails with `OutOfRange` before it
+    /// is read, quarantining nothing; a block that exhausts its retries
+    /// aborts the batch with its sector error.
+    pub fn read_blocks(&mut self, pbas: &[u64]) -> Result<Vec<[u8; SECTOR_DATA_BYTES]>, SeroError> {
+        self.refuse_hash_blocks(pbas)?;
+        let t0 = self.probe.clock().elapsed_ns();
+        let mut out = Vec::with_capacity(pbas.len());
+        for (start, count) in contiguous_runs(pbas) {
+            self.stream_extent(
+                start,
+                count,
+                |_, data| out.push(*data),
+                |_, e| Err(SeroError::Sector(e)),
+            )?;
         }
         // One batched request is one foreground arrival, however many
         // extents it spanned.
@@ -875,14 +878,7 @@ impl SeroDevice {
         &mut self,
         pbas: &[u64],
     ) -> Result<Vec<[u8; SECTOR_DATA_BYTES]>, SeroError> {
-        for &pba in pbas {
-            if let Some(line) = self.line_of(pba) {
-                if line.hash_block() == pba {
-                    self.flag_line(line);
-                    return Err(SeroError::HashBlockAccess { pba });
-                }
-            }
-        }
+        self.refuse_hash_blocks(pbas)?;
         let t0 = self.probe.clock().elapsed_ns();
         let runs = contiguous_runs(pbas);
         let descending = match (runs.first(), runs.last()) {
@@ -931,8 +927,8 @@ impl SeroDevice {
         }
         // Recovery: retry the failing block alone, then sweep whatever is
         // still missing (the aborted tail) in ascending runs. Only a block
-        // that exhausts its retries aborts the batch — quarantined, as the
-        // single-block loop would have left it.
+        // that exhausts its retries aborts the batch, quarantined, as in
+        // `read_blocks`.
         while let Some((pba, first)) = failure.take() {
             match self.retry_read(pba, first) {
                 Ok(sector) => {
@@ -961,16 +957,16 @@ impl SeroDevice {
         Ok(out)
     }
 
-    /// Writes many blocks with the same protocol checks as
-    /// [`SeroDevice::write_block`], batching consecutive addresses into
-    /// extent transfers. `data[i]` lands on `pbas[i]`.
+    /// Writes many blocks magnetically, batching consecutive addresses
+    /// into extent transfers. `data[i]` lands on `pbas[i]`.
     ///
     /// # Errors
     ///
     /// [`SeroError::ReadOnly`] if *any* target sits in a heated line
-    /// (checked up front, before any block is written);
-    /// [`SeroError::WriteDegraded`] at the first degraded block; sector
-    /// errors otherwise.
+    /// (checked up front, before any block is written; the refused line is
+    /// flagged for the next incremental scrub);
+    /// [`SeroError::WriteDegraded`] at the first block that stays degraded
+    /// past its retries (quarantined); sector errors otherwise.
     ///
     /// # Panics
     ///
@@ -1000,8 +996,7 @@ impl SeroDevice {
             // Stream the run; a degraded block is rewritten alone (the
             // write is idempotent) and the stream resumes after it. Only
             // a block that stays degraded past its retries stops the
-            // transfer — quarantined, trailing blocks untouched, exactly
-            // where the single-block loop would have stopped.
+            // transfer — quarantined, trailing blocks untouched.
             let mut done = 0usize;
             while done < count {
                 let mut degraded: Option<(u64, usize)> = None;
@@ -1041,64 +1036,47 @@ impl SeroDevice {
     ///
     /// The data blocks are streamed through the hasher directly from the
     /// probe's extent read — one seek for the whole line, no intermediate
-    /// per-block copies, and the transfer stops at the first failure.
+    /// per-block copies. A faulting block is retried alone and, on
+    /// recovery, hashed in place so the digest stays position-exact.
     ///
     /// # Errors
     ///
-    /// [`SeroError::DataUnreadable`] when a data block fails to read.
+    /// [`SeroError::DataUnreadable`] when a data block exhausts its retries
+    /// (it is quarantined and the transfer stops there).
     pub fn compute_line_digest(&mut self, line: Line) -> Result<Digest, SeroError> {
+        self.digest_line(line, |pba, source| {
+            Err(SeroError::DataUnreadable { pba, source })
+        })
+    }
+
+    /// Streams `line`'s data blocks through the line hash (see
+    /// [`SeroDevice::compute_line_digest`]); a block that exhausts its
+    /// retries is left out of the hash and handed to `lost`, as in
+    /// `stream_extent`.
+    fn digest_line(
+        &mut self,
+        line: Line,
+        lost: impl FnMut(u64, SectorError) -> Result<(), SeroError>,
+    ) -> Result<Digest, SeroError> {
         let mut hasher = Sha256::new();
         hasher.update(LINE_HASH_DOMAIN);
         hasher.update(&[line.order() as u8]);
         hasher.update(&line.start().to_le_bytes());
-        let first = line.start() + 1;
-        let total = line.len() - 1;
-        // Stream the data blocks through the hasher; a faulting block is
-        // retried alone and, on recovery, hashed in place so the digest
-        // stays position-exact. Exhausted retries quarantine the block
-        // and surface as `DataUnreadable`.
-        let mut done = 0u64;
-        while done < total {
-            let mut failure: Option<(u64, SectorError)> = None;
-            self.probe.read_blocks_with(
-                first + done,
-                total - done,
-                |pba, sector| match sector {
-                    Ok(sector) => {
-                        hasher.update(&pba.to_le_bytes());
-                        hasher.update(&sector.data);
-                        true
-                    }
-                    Err(e) => {
-                        failure = Some((pba, e));
-                        false
-                    }
-                },
-            )?;
-            match failure {
-                None => break,
-                Some((pba, e)) => {
-                    done = pba - first;
-                    match self.retry_read(pba, e) {
-                        Ok(sector) => {
-                            hasher.update(&pba.to_le_bytes());
-                            hasher.update(&sector.data);
-                            done += 1;
-                        }
-                        Err(source) => {
-                            self.quarantine_block(pba);
-                            return Err(SeroError::DataUnreadable { pba, source });
-                        }
-                    }
-                }
-            }
-        }
+        self.stream_extent(
+            line.start() + 1,
+            line.len() - 1,
+            |pba, data| {
+                hasher.update(&pba.to_le_bytes());
+                hasher.update(data);
+            },
+            lost,
+        )?;
         Ok(hasher.finalize())
     }
 
     /// Heats `line`: the paper's atomic sequence — read, hash, burn,
     /// verify. On success the line is registered read-only and the payload
-    /// is returned.
+    /// is returned. This is a [`SeroDevice::heat_lines`] batch of one.
     ///
     /// Re-heating a line whose data is unchanged is harmless and
     /// idempotent; re-heating with changed data fails verification and
@@ -1115,53 +1093,9 @@ impl SeroDevice {
         metadata: Vec<u8>,
         timestamp: u64,
     ) -> Result<HashBlockPayload, SeroError> {
-        if line.end() > self.block_count() {
-            return Err(SeroError::Sector(SectorError::OutOfRange {
-                pba: line.end() - 1,
-                blocks: self.block_count(),
-            }));
-        }
-        for record in self.registry.values() {
-            if record.line.overlaps(&line) && record.line != line {
-                return Err(SeroError::OverlapsHeatedLine {
-                    line,
-                    existing: record.line,
-                });
-            }
-        }
-
-        // Steps 1-2: read the data blocks and hash them with addresses.
-        let digest = self.compute_line_digest(line)?;
-        let payload = HashBlockPayload::new(line, digest, timestamp, metadata).map_err(|e| {
-            SeroError::HeatVerifyFailed {
-                line,
-                reason: e.to_string(),
-            }
-        })?;
-
-        // Step 3: burn the Manchester encoding into block 0.
-        self.probe.ews(line.hash_block(), &payload.to_bits())?;
-
-        // Step 4: check the hash reads back, "or else fail".
-        let scan = self.probe.ers(line.hash_block())?;
-        match HashBlockPayload::from_scan(&scan) {
-            Ok(read_back) if read_back == payload => {
-                self.register(line, timestamp, digest, true);
-                Ok(payload)
-            }
-            Ok(read_back) => Err(SeroError::HeatVerifyFailed {
-                line,
-                reason: format!(
-                    "read-back payload disagrees (heated at {} for {})",
-                    read_back.timestamp(),
-                    read_back.line()
-                ),
-            }),
-            Err(e) => Err(SeroError::HeatVerifyFailed {
-                line,
-                reason: e.to_string(),
-            }),
-        }
+        self.heat_lines(vec![(line, metadata, timestamp)])
+            .pop()
+            .expect("one request, one result")
     }
 
     /// Verifies `line` against its heated hash.
@@ -1171,12 +1105,7 @@ impl SeroDevice {
     /// Only infrastructure failures (line out of range) are errors; every
     /// tamper finding is reported in the [`VerifyOutcome`].
     pub fn verify_line(&mut self, line: Line) -> Result<VerifyOutcome, SeroError> {
-        if line.end() > self.block_count() {
-            return Err(SeroError::Sector(SectorError::OutOfRange {
-                pba: line.end() - 1,
-                blocks: self.block_count(),
-            }));
-        }
+        self.check_line(line)?;
         let mut report = TamperReport::new(line);
 
         let scan = self.probe.ers(line.hash_block())?;
@@ -1206,64 +1135,23 @@ impl SeroDevice {
             return Ok(VerifyOutcome::Tampered(report));
         }
 
-        // Recompute the digest, streaming the data blocks through the
-        // hasher and collecting unreadable blocks as evidence. A faulting
-        // block is retried alone before any evidence is minted — a
-        // transient fault must not masquerade as tampering — and only a
+        // Recompute the digest, collecting unreadable blocks as evidence.
+        // A faulting block is retried alone before any evidence is minted —
+        // a transient fault must not masquerade as tampering — and only a
         // block that exhausts its retries becomes `UnreadableDataBlock`
-        // evidence (and quarantined hardware).
-        let mut hasher = Sha256::new();
-        hasher.update(LINE_HASH_DOMAIN);
-        hasher.update(&[line.order() as u8]);
-        hasher.update(&line.start().to_le_bytes());
-        let first = line.start() + 1;
-        let total = line.len() - 1;
-        let mut unreadable = false;
-        let mut done = 0u64;
-        while done < total {
-            let mut failure: Option<(u64, SectorError)> = None;
-            self.probe.read_blocks_with(
-                first + done,
-                total - done,
-                |pba, sector| match sector {
-                    Ok(sector) => {
-                        hasher.update(&pba.to_le_bytes());
-                        hasher.update(&sector.data);
-                        true
-                    }
-                    Err(e) => {
-                        failure = Some((pba, e));
-                        false
-                    }
-                },
-            )?;
-            match failure {
-                None => break,
-                Some((pba, e)) => {
-                    done = pba - first;
-                    match self.retry_read(pba, e) {
-                        Ok(sector) => {
-                            hasher.update(&pba.to_le_bytes());
-                            hasher.update(&sector.data);
-                        }
-                        Err(e) => {
-                            self.quarantine_block(pba);
-                            unreadable = true;
-                            report.push(Evidence::UnreadableDataBlock {
-                                pba,
-                                reason: e.to_string(),
-                            });
-                        }
-                    }
-                    done += 1;
-                }
-            }
-        }
-        if unreadable {
+        // evidence (and quarantined hardware); the stream carries on past
+        // it so every such block is reported.
+        let computed = self.digest_line(line, |pba, e| {
+            report.push(Evidence::UnreadableDataBlock {
+                pba,
+                reason: e.to_string(),
+            });
+            Ok(())
+        })?;
+        if report.is_tampered() {
             self.flag_line(line);
             return Ok(VerifyOutcome::Tampered(report));
         }
-        let computed = hasher.finalize();
         if computed != *payload.digest() {
             report.push(Evidence::HashMismatch {
                 stored: *payload.digest(),
@@ -1288,12 +1176,7 @@ impl SeroDevice {
         metadata: Vec<u8>,
         timestamp: u64,
     ) -> Result<HashBlockPayload, SeroError> {
-        if line.end() > self.block_count() {
-            return Err(SeroError::Sector(SectorError::OutOfRange {
-                pba: line.end() - 1,
-                blocks: self.block_count(),
-            }));
-        }
+        self.check_line(line)?;
         for record in self.registry.values() {
             if record.line.overlaps(&line) && record.line != line {
                 return Err(SeroError::OverlapsHeatedLine {
@@ -1371,15 +1254,17 @@ impl SeroDevice {
     /// Heats a batch of lines with the bulk electrical fast path, returning
     /// per-request results in request order.
     ///
-    /// Consecutive requests whose lines are disjoint and ascending — the
-    /// shape every bulk producer (archival ingest, the scrub benchmarks,
-    /// `SeroFs` freezes of a log region) emits — are *staged*: validated
-    /// and digested first, then all their hash blocks are burned in one
-    /// streaming `ews` sweep and read back in one streaming `ers` sweep,
-    /// paying two sled trips for the whole group instead of two seeks per
-    /// line. A request that is not strictly after the previous staged line
-    /// flushes the group first, so outcomes and registry state match the
-    /// serial [`SeroDevice::heat_line`] loop request for request.
+    /// Consecutive requests whose lines are disjoint and ascending are
+    /// *staged*: validated and digested first, then all their hash blocks
+    /// are burned in one streaming `ews` sweep and read back in one
+    /// streaming `ers` sweep, paying two sled trips for the whole group
+    /// instead of two seeks per line. A request that is not strictly after
+    /// the previous staged line flushes the group first, so outcomes and
+    /// registry state match the serial [`SeroDevice::heat_line`] loop
+    /// request for request. Bulk heats of many lines (the scrub and
+    /// registry benchmarks) call this directly; every other producer heats
+    /// one line at a time through [`SeroDevice::heat_line`], which is a
+    /// batch of one.
     pub fn heat_lines(
         &mut self,
         requests: Vec<(Line, Vec<u8>, u64)>,
@@ -1406,25 +1291,6 @@ impl SeroDevice {
             .collect()
     }
 
-    /// Verifies a batch of lines serially on this device, returning
-    /// `(line, outcome)` pairs in input order. This is the reference serial
-    /// loop the parallel [`crate::scrub`] path is benchmarked against.
-    ///
-    /// # Errors
-    ///
-    /// Only infrastructure failures (a line out of range); every tamper
-    /// finding is data in its [`VerifyOutcome`].
-    pub fn verify_lines(
-        &mut self,
-        lines: &[Line],
-    ) -> Result<Vec<(Line, VerifyOutcome)>, SeroError> {
-        let mut out = Vec::with_capacity(lines.len());
-        for &line in lines {
-            out.push((line, self.verify_line(line)?));
-        }
-        Ok(out)
-    }
-
     /// Physically shreds every block of `line` — the §8 retention
     /// mechanism: "physically destroy the expired data by precise local
     /// heating". The line's registry entry (if any) is retained: the shred
@@ -1435,12 +1301,7 @@ impl SeroDevice {
     ///
     /// Sector-level errors for out-of-range lines.
     pub fn shred_line(&mut self, line: Line) -> Result<(), SeroError> {
-        if line.end() > self.block_count() {
-            return Err(SeroError::Sector(SectorError::OutOfRange {
-                pba: line.end() - 1,
-                blocks: self.block_count(),
-            }));
-        }
+        self.check_line(line)?;
         for pba in line.blocks() {
             self.probe.shred(pba)?;
         }
@@ -1829,6 +1690,19 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_reads_never_degrade_the_device() {
+        let mut dev = SeroDevice::with_blocks(64);
+        for result in [dev.read_block(64), dev.read_blocks(&[64]).map(|v| v[0])] {
+            assert!(matches!(
+                result,
+                Err(SeroError::Sector(SectorError::OutOfRange { pba: 64, .. }))
+            ));
+        }
+        assert_eq!(dev.quarantined_count(), 0, "no block 64 to quarantine");
+        assert!(!dev.is_degraded());
+    }
+
+    #[test]
     fn line_of_finds_containing_line() {
         let mut dev = filled_device(16);
         let line = Line::new(8, 3).unwrap();
@@ -1993,7 +1867,7 @@ mod tests {
     }
 
     #[test]
-    fn heat_lines_and_verify_lines_batch() {
+    fn heat_lines_batch_verifies_line_by_line() {
         let mut dev = filled_device(32);
         let lines = [Line::new(0, 2).unwrap(), Line::new(8, 2).unwrap()];
         let results = dev.heat_lines(vec![
@@ -2001,14 +1875,13 @@ mod tests {
             (lines[1], b"b".to_vec(), T0 + 1),
         ]);
         assert!(results.iter().all(|r| r.is_ok()));
-        let outcomes = dev.verify_lines(&lines).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!(outcomes.iter().all(|(_, o)| o.is_intact()));
+        for line in lines {
+            assert!(dev.verify_line(line).unwrap().is_intact());
+        }
         // Tamper one line; only it flips.
         dev.probe_mut().mws(9, &[0xEE; 512]).unwrap();
-        let outcomes = dev.verify_lines(&lines).unwrap();
-        assert!(outcomes[0].1.is_intact());
-        assert!(outcomes[1].1.is_tampered());
+        assert!(dev.verify_line(lines[0]).unwrap().is_intact());
+        assert!(dev.verify_line(lines[1]).unwrap().is_tampered());
     }
 
     #[test]

@@ -47,9 +47,9 @@
 //! This module is the *exclusive* pass — it assumes nothing else touches
 //! the device while it runs. Verification interleaved with live
 //! foreground traffic goes through [`crate::sched::ScrubScheduler`]
-//! (budgeted slices), and under the concurrent foreground core through
-//! its lock-aware variant so a line mid-write is deferred, not read
-//! half-mutated (`docs/ARCHITECTURE.md` has the full model).
+//! (budgeted slices); the served stack runs those slices inside its
+//! batch window, under the one lock every request takes
+//! (`docs/ARCHITECTURE.md` has the full model).
 //!
 //! # Examples
 //!
@@ -94,9 +94,11 @@ pub enum ScrubMode {
 /// Tuning knobs for [`scrub_device`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScrubConfig {
-    /// Number of worker shards. `0` (the default) picks the host's
-    /// available parallelism (clamped to 8); `1` verifies in place without
-    /// cloning the device.
+    /// Number of worker shards, a parameter of the modelled device, never
+    /// of the host. `1` (the default; `0` means the same) verifies in place
+    /// without cloning the device, so the device clock advances by the sum
+    /// over lines. More workers verify their shards on clones, and the
+    /// clock advances by the slowest shard's time.
     pub workers: usize,
     /// Full or incremental verification (default: full).
     pub mode: ScrubMode,
@@ -109,7 +111,7 @@ pub struct ScrubConfig {
 impl Default for ScrubConfig {
     fn default() -> ScrubConfig {
         ScrubConfig {
-            workers: 0,
+            workers: 1,
             mode: ScrubMode::Full,
             full_every: 8,
         }
@@ -136,15 +138,7 @@ impl ScrubConfig {
 
     /// The worker count actually used for `lines` heated lines.
     pub fn effective_workers(&self, lines: usize) -> usize {
-        let requested = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        } else {
-            self.workers
-        };
-        requested.clamp(1, lines.max(1))
+        self.workers.clamp(1, lines.max(1))
     }
 
     /// The mode epoch `epoch` actually runs in: incremental requests fall
@@ -428,7 +422,10 @@ mod tests {
         dev.probe_mut().ewb(cell + 1);
 
         let mut serial_dev = dev.clone();
-        let serial = serial_dev.verify_lines(&lines).unwrap();
+        let serial: Vec<(Line, VerifyOutcome)> = lines
+            .iter()
+            .map(|&line| (line, serial_dev.verify_line(line).unwrap()))
+            .collect();
         let report = scrub_device(&mut dev, &ScrubConfig::with_workers(3)).unwrap();
 
         assert_eq!(report.outcomes.len(), serial.len());
@@ -486,7 +483,10 @@ mod tests {
         let cfg = ScrubConfig::with_workers(16);
         assert_eq!(cfg.effective_workers(3), 3, "never more workers than lines");
         assert_eq!(cfg.effective_workers(0), 1);
-        assert!(ScrubConfig::default().effective_workers(100) >= 1);
+        // The default is one worker whatever the host, so a default pass
+        // costs the same device time everywhere.
+        assert_eq!(ScrubConfig::default().effective_workers(100), 1);
+        assert_eq!(ScrubConfig::with_workers(0).effective_workers(100), 1);
     }
 
     #[test]
@@ -619,7 +619,9 @@ mod tests {
         far_dev.probe_mut().park_at(0);
         let shard: Vec<Line> = lines[48..].to_vec();
         let base = far_dev.probe().clock().elapsed_ns();
-        far_dev.verify_lines(&shard).unwrap();
+        for &line in &shard {
+            far_dev.verify_line(line).unwrap();
+        }
         let unparked_ns = far_dev.probe().clock().elapsed_ns() - base;
 
         let cold_seek_ns = {

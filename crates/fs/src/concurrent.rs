@@ -189,7 +189,6 @@ impl Core {
                     Ok(inode) => {
                         let pbas = inode.blocks.clone();
                         let size = inode.size as usize;
-                        self.fs.stats.blocks_read += pbas.len() as u64;
                         Plan::Admitted(self.admission.submit(FgOp::Read { pbas }), Some(size))
                     }
                     Err(e) => Plan::Now(Response::Error(e.into())),
@@ -224,6 +223,10 @@ impl Core {
                 let outcome = outcomes
                     .remove(&ticket)
                     .expect("execute_batch resolves every staged ticket");
+                // Like `SeroFs::read`, count blocks only once they are read.
+                if let FgResult::Data(sectors) = &outcome {
+                    self.fs.stats.blocks_read += sectors.len() as u64;
+                }
                 admitted_response(outcome, size)
             }
         }));
@@ -280,6 +283,7 @@ mod tests {
     use super::*;
     use crate::fs::FsConfig;
     use sero_core::device::SeroDevice;
+    use sero_probe::faults::FaultPlan;
     use sero_probe::sector::SECTOR_DATA_BYTES;
     use sero_proto::{WireClass, WireSchedState};
     use std::thread;
@@ -320,6 +324,32 @@ mod tests {
             cfs.handle(Request::Verify { name: "a".into() }),
             Response::Verified(WireVerdict::NotHeated)
         );
+    }
+
+    #[test]
+    fn a_failed_read_counts_no_blocks_on_either_path() {
+        let data = vec![0x5a; 3 * SECTOR_DATA_BYTES];
+        let mut bare = SeroFs::format(SeroDevice::with_blocks(256), FsConfig::default()).unwrap();
+        let cfs = fresh(256);
+        let create = Request::Create {
+            name: "f".into(),
+            data,
+            class: WireClass::Archival,
+        };
+        assert!(matches!(
+            bare.handle(create.clone()),
+            Response::Created { .. }
+        ));
+        assert!(matches!(cfs.handle(create), Response::Created { .. }));
+        // Every read attempt faults, so the 3-block read runs out of retries.
+        let plan = FaultPlan::none().transient_reads(1_000_000, 10);
+        bare.device_mut().probe_mut().arm_faults(plan.clone());
+        cfs.with_fs(|fs| fs.device_mut().probe_mut().arm_faults(plan));
+        let read = Request::Read { name: "f".into() };
+        assert!(matches!(bare.handle(read.clone()), Response::Error(_)));
+        assert!(matches!(cfs.handle(read), Response::Error(_)));
+        assert_eq!(bare.stats().blocks_read, 0);
+        assert_eq!(cfs.with_fs(|fs| fs.stats()), bare.stats());
     }
 
     #[test]

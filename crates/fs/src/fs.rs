@@ -1123,7 +1123,7 @@ impl SeroFs {
     }
 
     /// Convenience for routine background verification under live traffic:
-    /// an incremental [`SeroFs::scrub`] with the default worker count and
+    /// an incremental [`SeroFs::scrub`] with one worker and the default
     /// full-pass fallback cadence.
     ///
     /// # Errors
@@ -1131,7 +1131,7 @@ impl SeroFs {
     /// Infrastructure failures only; tamper findings are data in the
     /// report.
     pub fn scrub_incremental(&mut self) -> Result<ScrubReport, FsError> {
-        self.scrub(&ScrubConfig::incremental(0))
+        self.scrub(&ScrubConfig::incremental(1))
     }
 
     /// What [`SeroFs::mount`] restored from the checkpoint's persisted

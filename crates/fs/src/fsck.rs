@@ -99,7 +99,7 @@ pub fn recover_heated_files(dev: &mut SeroDevice) -> Result<Vec<RecoveredFile>, 
             // than aborting the recovery of every other file.
             let extent = dev
                 .probe_mut()
-                .read_blocks_with(start, count, |_, sector| match sector {
+                .read_block_runs_with(&[(start, count)], |_, sector| match sector {
                     Ok(sector) => {
                         data.extend_from_slice(&sector.data);
                         true

@@ -52,45 +52,6 @@ impl ProbeDevice {
         Ok(())
     }
 
-    /// Streams `count` sectors starting at `start` into `sink`, one decoded
-    /// sector at a time — no intermediate collection, so callers that fold
-    /// the data (digest computation, checksum scans) never copy a block.
-    ///
-    /// `sink` receives `(pba, Result<DecodedSector, _>)` per block and
-    /// returns `false` to stop the transfer early (the remaining blocks are
-    /// neither read nor charged to the clock).
-    ///
-    /// # Errors
-    ///
-    /// [`SectorError::OutOfRange`] when the extent exceeds the device;
-    /// per-block decode failures are delivered through `sink`, not returned.
-    pub fn read_blocks_with<F>(
-        &mut self,
-        start: u64,
-        count: u64,
-        mut sink: F,
-    ) -> Result<(), SectorError>
-    where
-        F: FnMut(u64, Result<DecodedSector, SectorError>) -> bool,
-    {
-        self.check_extent(start, count)?;
-        if count == 0 {
-            return Ok(());
-        }
-        self.seek_block(start);
-        for pba in start..start + count {
-            if pba > start {
-                let ns = self.actuator.step_row();
-                self.clock.advance(ns);
-            }
-            let sector = self.read_sector_here(pba);
-            if !sink(pba, sector) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
     /// Reads the extent `[start, start + count)`, returning one `Result`
     /// per block. See the module docs for the amortization model.
     ///
@@ -103,7 +64,7 @@ impl ProbeDevice {
         count: u64,
     ) -> Result<Vec<Result<DecodedSector, SectorError>>, SectorError> {
         let mut out = Vec::with_capacity(count as usize);
-        self.read_blocks_with(start, count, |_, sector| {
+        self.read_block_runs_with(&[(start, count)], |_, sector| {
             out.push(sector);
             true
         })?;
@@ -170,18 +131,23 @@ impl ProbeDevice {
     // --- queue-aware staging ------------------------------------------------
     //
     // The admission scheduler (sero-core) merges queued foreground requests
-    // into one elevator sweep per batch. The per-extent APIs above still pay
-    // a full seek (steps + settle) at the head of *every* run; when a batch
-    // spans several scattered-but-ascending runs, the sled can instead keep
+    // into one elevator sweep per batch. Reading run by run pays a full
+    // seek (steps + settle) at the head of *every* run; when a batch spans
+    // several scattered-but-ascending runs, the sled can instead keep
     // moving over the gaps — the same settle-free streaming trick
     // `ers_blocks_at` uses for hash blocks, applied to magnetic extents.
+    // A single extent is the one-run case.
 
     /// Streams several ascending extent runs in one sweep: a single
     /// head-of-batch seek, then settle-free [`Actuator::stream_rows`] over
     /// the gaps between runs (a run behind the sled falls back to a seek).
-    /// `runs` are `(start, count)` pairs; `sink` receives every block like
-    /// [`ProbeDevice::read_blocks_with`] and returns `false` to stop the
-    /// whole sweep — remaining blocks are neither read nor charged.
+    /// `runs` are `(start, count)` pairs. `sink` receives
+    /// `(pba, Result<DecodedSector, _>)` per block, one decoded sector at a
+    /// time — no intermediate collection, so callers that fold the data
+    /// (digest computation, checksum scans) never copy a block — and
+    /// returns `false` to stop the whole sweep: remaining blocks are
+    /// neither read nor charged. Per-block decode failures are delivered
+    /// through `sink`, not returned.
     ///
     /// [`Actuator::stream_rows`]: crate::actuator::Actuator::stream_rows
     ///
@@ -305,7 +271,7 @@ mod tests {
         dev.write_blocks(0, &blocks).unwrap();
         let mut seen = 0u64;
         let before = dev.counters().mrs;
-        dev.read_blocks_with(0, 8, |_, _| {
+        dev.read_block_runs_with(&[(0, 8)], |_, _| {
             seen += 1;
             seen < 3
         })
@@ -350,7 +316,7 @@ mod tests {
         let mut via_extents = Vec::new();
         for &(start, count) in &runs {
             serial
-                .read_blocks_with(start, count, |pba, sector| {
+                .read_block_runs_with(&[(start, count)], |pba, sector| {
                     via_extents.push((pba, sector.unwrap().data));
                     true
                 })
@@ -384,7 +350,9 @@ mod tests {
 
         let t0 = serial.clock().elapsed_ns();
         for &(start, count) in &runs {
-            serial.read_blocks_with(start, count, |_, _| true).unwrap();
+            serial
+                .read_block_runs_with(&[(start, count)], |_, _| true)
+                .unwrap();
         }
         let per_run_ns = serial.clock().elapsed_ns() - t0;
         assert!(

@@ -153,7 +153,10 @@ proptest! {
         dev.probe_mut().ewb(dot + 1);
 
         let mut serial_dev = dev.clone();
-        let serial = serial_dev.verify_lines(&lines).unwrap();
+        let serial: Vec<_> = lines
+            .iter()
+            .map(|&line| (line, serial_dev.verify_line(line).unwrap()))
+            .collect();
         let report = scrub_device(&mut dev, &ScrubConfig::with_workers(workers)).unwrap();
 
         prop_assert_eq!(report.outcomes.len(), serial.len());
