@@ -4,6 +4,7 @@
 //! substrate are visible.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use sero_media::mfm::ReadChannel;
 use sero_probe::device::ProbeDevice;
 use std::hint::black_box;
 use std::time::Duration;
@@ -80,8 +81,46 @@ fn bench_sector_ops(c: &mut Criterion) {
         b.iter(|| black_box(dev.ers(black_box(3)).unwrap()));
     });
 
+    // The word path's other branch: heated dots in a magnetic sector read
+    // weak, and the decoder corrects them as erasures.
+    group.bench_function("mrs_heated", |b| {
+        let mut dev = ProbeDevice::builder().blocks(8).build();
+        dev.mws(2, &data).unwrap();
+        let first = dev.block_first_dot(2);
+        for byte in [20u64, 150, 300, 450] {
+            dev.medium_mut().heat(first + byte * 8 + 3);
+        }
+        b.iter(|| black_box(dev.mrs(black_box(2)).unwrap()));
+    });
+
+    // A channel noise can sway (σ = 0.2) keeps the per-dot path.
+    group.bench_function("mrs_noisy", |b| {
+        let mut dev = ProbeDevice::builder()
+            .blocks(8)
+            .channel(ReadChannel::new(1.0, 0.2, 0.08, 0.5))
+            .build();
+        dev.mws(2, &data).unwrap();
+        b.iter(|| black_box(dev.mrs(black_box(2))));
+    });
+
     group.finish();
 }
 
-criterion_group!(benches, bench_bitops, bench_sector_ops);
+/// What a snapshot of a served-size device costs: the `e2e` device has
+/// 65,536 blocks, and the medium dominates the copy.
+fn bench_device_clone(c: &mut Criterion) {
+    let mut group = c.benchmark_group("device");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(800));
+    let mut dev = ProbeDevice::builder().blocks(65_536).build();
+    dev.mws(1, &[0x5Au8; 512]).unwrap();
+    dev.ews(2, &[true; 64]).unwrap();
+    group.bench_function("clone_65536_blocks", |b| b.iter(|| black_box(dev.clone())));
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_bitops, bench_sector_ops, bench_device_clone);
 criterion_main!(benches);

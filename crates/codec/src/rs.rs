@@ -95,11 +95,33 @@ impl DecodeReport {
 }
 
 /// A Reed–Solomon encoder/decoder with a fixed number of parity symbols.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct ReedSolomon {
     nroots: usize,
-    /// Generator polynomial, highest-degree coefficient first.
-    generator: Vec<Gf256>,
+    /// Multiply-by-constant tables for the generator's coefficients below
+    /// the leading one: `generator_tables[i][b] = b·g_{i+1}`, so an encoder
+    /// step is one lookup and one XOR per parity symbol.
+    generator_tables: Vec<[u8; 256]>,
+    /// Per-root multiply-by-constant tables: `root_tables[j][b] = b·α^j`,
+    /// so a syndrome's Horner step is one lookup and one XOR.
+    root_tables: Vec<[u8; 256]>,
+}
+
+/// The table of `b·c` for every byte `b`.
+fn times_table(c: Gf256) -> [u8; 256] {
+    let mut table = [0u8; 256];
+    for (b, product) in table.iter_mut().enumerate() {
+        *product = (Gf256::new(b as u8) * c).value();
+    }
+    table
+}
+
+impl fmt::Debug for ReedSolomon {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReedSolomon")
+            .field("nroots", &self.nroots)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ReedSolomon {
@@ -113,7 +135,8 @@ impl ReedSolomon {
         if nroots == 0 || nroots >= MAX_CODEWORD_LEN {
             return Err(RsError::BadParameters { nroots });
         }
-        // g(x) = Π_{i=0}^{nroots-1} (x - α^i)
+        // g(x) = Π_{i=0}^{nroots-1} (x - α^i), highest-degree coefficient
+        // first.
         let mut generator = vec![Gf256::ONE];
         for i in 0..nroots {
             let root = Gf256::alpha_pow(i);
@@ -124,7 +147,13 @@ impl ReedSolomon {
             }
             generator = next;
         }
-        Ok(ReedSolomon { nroots, generator })
+        Ok(ReedSolomon {
+            nroots,
+            generator_tables: generator[1..].iter().map(|&g| times_table(g)).collect(),
+            root_tables: (0..nroots)
+                .map(|j| times_table(Gf256::alpha_pow(j)))
+                .collect(),
+        })
     }
 
     /// Number of parity symbols appended to each message.
@@ -169,20 +198,21 @@ impl ReedSolomon {
         }
         // Synthetic division of data(x)·x^nroots by g(x); the remainder is
         // the parity.
-        let mut parity = vec![Gf256::ZERO; self.nroots];
+        let mut parity = [0u8; MAX_CODEWORD_LEN];
+        let parity = &mut parity[..self.nroots];
         for &byte in data {
-            let factor = Gf256::new(byte) + parity[0];
+            let factor = usize::from(byte ^ parity[0]);
             parity.rotate_left(1);
-            parity[self.nroots - 1] = Gf256::ZERO;
-            if !factor.is_zero() {
-                for (p, &g) in parity.iter_mut().zip(self.generator[1..].iter()) {
-                    *p += factor * g;
+            parity[self.nroots - 1] = 0;
+            if factor != 0 {
+                for (p, table) in parity.iter_mut().zip(&self.generator_tables) {
+                    *p ^= table[factor];
                 }
             }
         }
         let mut out = Vec::with_capacity(data.len() + self.nroots);
         out.extend_from_slice(data);
-        out.extend(parity.iter().map(|p| p.value()));
+        out.extend_from_slice(parity);
         Ok(out)
     }
 
@@ -215,11 +245,12 @@ impl ReedSolomon {
             return Err(RsError::TooManyErrors);
         }
 
-        let synd = self.syndromes(codeword);
-        if synd.iter().all(|s| s.is_zero()) {
+        let mut synd = [0u8; MAX_CODEWORD_LEN];
+        if self.syndromes(codeword, &mut synd[..self.nroots]) {
             // Clean word; erased positions already hold correct values.
             return Ok(DecodeReport::default());
         }
+        let synd: Vec<Gf256> = synd[..self.nroots].iter().map(|&s| Gf256::new(s)).collect();
 
         // Erasure locator Γ(x) = Π (1 - α^p x), lowest-degree-first.
         let mut gamma = vec![Gf256::ONE];
@@ -275,8 +306,8 @@ impl ReedSolomon {
         }
 
         // Re-verify.
-        let check = self.syndromes(codeword);
-        if check.iter().any(|s| !s.is_zero()) {
+        let mut check = [0u8; MAX_CODEWORD_LEN];
+        if !self.syndromes(codeword, &mut check[..self.nroots]) {
             return Err(RsError::TooManyErrors);
         }
 
@@ -287,16 +318,18 @@ impl ReedSolomon {
         })
     }
 
-    /// Syndrome vector `S_j = r(α^j)`, lowest index first.
-    fn syndromes(&self, codeword: &[u8]) -> Vec<Gf256> {
-        (0..self.nroots)
-            .map(|j| {
-                let x = Gf256::alpha_pow(j);
-                codeword
-                    .iter()
-                    .fold(Gf256::ZERO, |acc, &b| acc * x + Gf256::new(b))
-            })
-            .collect()
+    /// Fills `synd` with the syndromes `S_j = r(α^j)`, lowest index first,
+    /// by Horner's rule over the per-root tables (all roots advance
+    /// together, one codeword byte at a time). Returns whether all are
+    /// zero, i.e. the word is clean.
+    fn syndromes(&self, codeword: &[u8], synd: &mut [u8]) -> bool {
+        synd.fill(0);
+        for &b in codeword {
+            for (s, table) in synd.iter_mut().zip(&self.root_tables) {
+                *s = table[*s as usize] ^ b;
+            }
+        }
+        synd.iter().all(|&s| s == 0)
     }
 }
 
@@ -390,10 +423,53 @@ fn derivative_low(p: &[Gf256]) -> Vec<Gf256> {
 mod tests {
     use super::*;
 
+    /// The syndromes with generic GF(2⁸) arithmetic: the oracle for the
+    /// table-driven [`ReedSolomon::syndromes`].
+    fn generic_syndromes(nroots: usize, codeword: &[u8]) -> Vec<u8> {
+        (0..nroots)
+            .map(|j| {
+                let x = Gf256::alpha_pow(j);
+                codeword
+                    .iter()
+                    .fold(Gf256::ZERO, |acc, &b| acc * x + Gf256::new(b))
+                    .value()
+            })
+            .collect()
+    }
+
     fn sample_data(len: usize, seed: u8) -> Vec<u8> {
         (0..len)
             .map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed))
             .collect()
+    }
+
+    proptest::proptest! {
+        /// Table syndromes equal generic GF(2⁸) syndromes on clean and
+        /// corrupted codewords of every code size, and report a clean word
+        /// exactly when every syndrome is zero.
+        #[test]
+        fn table_syndromes_match_generic_arithmetic(
+            nroots in 1usize..=254,
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 254),
+            len in proptest::prelude::any::<usize>(),
+            hits in proptest::collection::vec((proptest::prelude::any::<usize>(), 1u8..=255), 0..4),
+        ) {
+            let rs = ReedSolomon::new(nroots).unwrap();
+            let data_len = 1 + len % (MAX_CODEWORD_LEN - nroots);
+            let mut word = rs.encode(&data[..data_len]);
+            for &(at, flip) in &hits {
+                let n = word.len();
+                word[at % n] ^= flip;
+            }
+            let mut synd = vec![0u8; nroots];
+            let clean = rs.syndromes(&word, &mut synd);
+            let want = generic_syndromes(nroots, &word);
+            proptest::prop_assert_eq!(&synd, &want);
+            proptest::prop_assert_eq!(clean, want.iter().all(|&s| s == 0));
+            if hits.is_empty() {
+                proptest::prop_assert!(clean);
+            }
+        }
     }
 
     #[test]

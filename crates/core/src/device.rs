@@ -756,13 +756,22 @@ impl SeroDevice {
 
     /// Refuses a line that runs past the end of the device.
     fn check_line(&self, line: Line) -> Result<(), SeroError> {
-        if line.end() > self.block_count() {
-            return Err(SeroError::Sector(SectorError::OutOfRange {
-                pba: line.end() - 1,
-                blocks: self.block_count(),
-            }));
+        self.check_range(&[line.end() - 1])
+    }
+
+    /// Refuses a batch that names any address past the end of the device,
+    /// up front and before any I/O, so a refused batch touches nothing.
+    /// The error names the largest address, as a run past the end would.
+    fn check_range(&self, pbas: &[u64]) -> Result<(), SeroError> {
+        match pbas.iter().max() {
+            Some(&pba) if pba >= self.block_count() => {
+                Err(SeroError::Sector(SectorError::OutOfRange {
+                    pba,
+                    blocks: self.block_count(),
+                }))
+            }
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Refuses magnetic access to registered hash blocks, up front and
@@ -837,11 +846,13 @@ impl SeroDevice {
     /// [`SeroError::HashBlockAccess`] if *any* requested block is a
     /// registered hash block (checked up front, before any I/O; the
     /// refused line is flagged for the next incremental scrub);
-    /// a run past the end of the device fails with `OutOfRange` before it
-    /// is read, quarantining nothing; a block that exhausts its retries
-    /// aborts the batch with its sector error.
+    /// an address past the end of the device fails the whole batch with
+    /// `OutOfRange` before any block is read, quarantining nothing; a
+    /// block that exhausts its retries aborts the batch with its sector
+    /// error.
     pub fn read_blocks(&mut self, pbas: &[u64]) -> Result<Vec<[u8; SECTOR_DATA_BYTES]>, SeroError> {
         self.refuse_hash_blocks(pbas)?;
+        self.check_range(pbas)?;
         let t0 = self.probe.clock().elapsed_ns();
         let mut out = Vec::with_capacity(pbas.len());
         for (start, count) in contiguous_runs(pbas) {
@@ -872,13 +883,14 @@ impl SeroDevice {
     /// # Errors
     ///
     /// Same contract as [`SeroDevice::read_blocks`]: hash-block touches
-    /// are refused (and flagged) up front; sector errors abort at the
-    /// failing block.
+    /// and addresses past the end are refused up front; sector errors
+    /// abort at the failing block.
     pub fn read_blocks_sweep(
         &mut self,
         pbas: &[u64],
     ) -> Result<Vec<[u8; SECTOR_DATA_BYTES]>, SeroError> {
         self.refuse_hash_blocks(pbas)?;
+        self.check_range(pbas)?;
         let t0 = self.probe.clock().elapsed_ns();
         let runs = contiguous_runs(pbas);
         let descending = match (runs.first(), runs.last()) {
@@ -964,7 +976,8 @@ impl SeroDevice {
     ///
     /// [`SeroError::ReadOnly`] if *any* target sits in a heated line
     /// (checked up front, before any block is written; the refused line is
-    /// flagged for the next incremental scrub);
+    /// flagged for the next incremental scrub); `OutOfRange` if any
+    /// address is past the end of the device, also before any write;
     /// [`SeroError::WriteDegraded`] at the first block that stays degraded
     /// past its retries (quarantined); sector errors otherwise.
     ///
@@ -988,6 +1001,7 @@ impl SeroDevice {
                 return Err(SeroError::ReadOnly { line, pba });
             }
         }
+        self.check_range(pbas)?;
         let t0 = self.probe.clock().elapsed_ns();
         let mut offset = 0usize;
         for (start, count) in contiguous_runs(pbas) {

@@ -12,7 +12,8 @@
 //! * [`geometry`] — the dot matrix and the §6 capacity arithmetic
 //!   (100 nm pitch ⇒ 10 Gbit/cm² = 65 Gbit/inch²).
 //! * [`dot`] / [`medium`] — the Figure 2 tri-state dot (0/1/H with H
-//!   absorbing), packed dense enough to simulate file-system-sized media.
+//!   absorbing), stored as a one-bit magnetic plane plus a sparse heated
+//!   plane, dense enough to simulate file-system-sized media.
 //! * [`film`] — Co/Pt interface-mixing kinetics behind Figure 7's K(T).
 //! * [`torque`] — the torque-magnetometry pipeline the paper used to
 //!   *measure* Figure 7 (1350 kA/m field, Fourier extraction).
@@ -104,6 +105,119 @@ mod proptests {
             }
             let expect = if *bits.last().unwrap() { DotState::Up } else { DotState::Down };
             prop_assert_eq!(dots.state(0), expect);
+        }
+
+        /// The two-plane array against a `Vec<DotState>` model: random
+        /// magnetic writes (single and bulk), heats and FIB rebuilds, then
+        /// every state, the counter and both bulk accessors at every bit
+        /// offset of a word, as odd `pba × 4,704` sector runs start
+        /// mid-word.
+        #[test]
+        fn two_planes_match_a_state_model(
+            len in 1u64..9_000,
+            ops in proptest::collection::vec((0u8..4, any::<u64>(), any::<u64>()), 0..48),
+        ) {
+            let mut dots = DotArray::new(len);
+            let mut model = vec![DotState::Down; len as usize];
+            for (kind, a, b) in ops {
+                let index = a % len;
+                match kind {
+                    0 => {
+                        let bit = b & 1 == 1;
+                        let took = model[index as usize] != DotState::Heated;
+                        prop_assert_eq!(dots.write_mag(index, bit), took);
+                        if took {
+                            model[index as usize] = if bit { DotState::Up } else { DotState::Down };
+                        }
+                    }
+                    1 => {
+                        let fresh = model[index as usize] != DotState::Heated;
+                        prop_assert_eq!(dots.heat(index), fresh);
+                        model[index as usize] = DotState::Heated;
+                    }
+                    2 => {
+                        // Rebuild a heated dot when there is one, so pages
+                        // empty out and are freed.
+                        let heated: Vec<u64> = (0..len).filter(|&i| model[i as usize] == DotState::Heated).collect();
+                        let target = if heated.is_empty() { index } else { heated[(b % heated.len() as u64) as usize] };
+                        let bit = b >> 32 & 1 == 1;
+                        let was = model[target as usize] == DotState::Heated;
+                        prop_assert_eq!(dots.fib_rewrite(target, bit), was);
+                        model[target as usize] = if bit { DotState::Up } else { DotState::Down };
+                    }
+                    _ => {
+                        let run = (b % (len - index + 1)) as usize;
+                        let words: Vec<u64> = (0..run.div_ceil(64) as u64)
+                            .map(|k| b.rotate_left(k as u32 * 7) ^ a.wrapping_mul(k + 1))
+                            .collect();
+                        let mut refused = 0u64;
+                        for j in 0..run {
+                            let dot = &mut model[index as usize + j];
+                            if *dot == DotState::Heated {
+                                refused += 1;
+                            } else {
+                                *dot = if words[j / 64] >> (j % 64) & 1 == 1 { DotState::Up } else { DotState::Down };
+                            }
+                        }
+                        prop_assert_eq!(dots.write_mag_run(index, run, &words), refused);
+                    }
+                }
+            }
+            let heated = model.iter().filter(|s| s.is_heated()).count() as u64;
+            prop_assert_eq!(dots.heated_count(), heated);
+            for (i, &want) in model.iter().enumerate() {
+                prop_assert_eq!(dots.state(i as u64), want);
+            }
+            let starts = (0..64u64.min(len)).chain([len / 2, len - 1]);
+            for start in starts {
+                for run in [len - start, (len - start).min(4_704), (len - start) / 3] {
+                    let run = run as usize;
+                    let mut mag = vec![!0u64; run.div_ceil(64)];
+                    let mut heat = vec![!0u64; run.div_ceil(64)];
+                    let any = dots.read_run(start, run, &mut mag, &mut heat);
+                    let mut any_model = false;
+                    for j in 0..run {
+                        let state = model[start as usize + j];
+                        any_model |= state.is_heated();
+                        prop_assert_eq!(mag[j / 64] >> (j % 64) & 1 == 1, state == DotState::Up);
+                        prop_assert_eq!(heat[j / 64] >> (j % 64) & 1 == 1, state.is_heated());
+                    }
+                    if run % 64 != 0 {
+                        let pad = !0u64 << (run % 64);
+                        prop_assert_eq!(mag[run / 64] & pad, 0);
+                        prop_assert_eq!(heat[run / 64] & pad, 0);
+                    }
+                    prop_assert_eq!(any, any_model);
+                }
+            }
+            let listed: Vec<u64> = (0..len).filter(|&i| model[i as usize].is_heated()).collect();
+            prop_assert_eq!(dots.heated_in(0..len), listed);
+        }
+
+        /// The form is canonical: heating dots and rebuilding them by FIB
+        /// leaves an array equal to a never-heated twin holding the same
+        /// bits, freed pages included.
+        #[test]
+        fn fib_rebuild_restores_equality(
+            len in 1u64..9_000,
+            targets in proptest::collection::vec(any::<u64>(), 1..24),
+        ) {
+            let mut dots = DotArray::new(len);
+            let mut twin = DotArray::new(len);
+            for &t in &targets {
+                let index = t % len;
+                dots.write_mag(index, t >> 40 & 1 == 1);
+                dots.heat(index);
+            }
+            prop_assert!(dots != twin);
+            for &t in &targets {
+                let index = t % len;
+                let bit = t >> 50 & 1 == 1;
+                dots.fib_rewrite(index, bit);
+                twin.write_mag(index, bit);
+            }
+            prop_assert_eq!(dots.heated_count(), 0);
+            prop_assert!(dots == twin);
         }
 
         /// The heated counter equals the number of distinct heated dots for

@@ -6,6 +6,20 @@
 //! irreversible heating. Protocol (bit/sector/line) layers live in
 //! `sero-probe` and `sero-core`.
 //!
+//! Dot states live in two planes ([`crate::dot::DotArray`]): one magnetic
+//! bit per dot and a sparse heated plane, about 36.75 MiB for a
+//! 65,536-block device. [`Medium::read_run`] and [`Medium::write_mag_run`]
+//! move a run of dots a word at a time.
+//!
+//! Reads spend the caller's RNG, and only the number of words drawn ties
+//! one read to the next. [`Medium::read_mag`] draws one word (the coin) for
+//! a heated dot and none for an intact one. The MFM channel's
+//! [`crate::mfm::ReadChannel::detect`] draws 2 words per intact dot and 4
+//! per heated dot when σ > 0 (0 and 2 when σ = 0), and its noise never
+//! exceeds 7.434σ, so a channel with `amplitude − 7.434σ ≥ threshold` and
+//! `leakage + 7.434σ < threshold` decides every dot by its state alone
+//! ([`crate::mfm::ReadChannel::decisions_are_exact`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -46,7 +60,10 @@ pub enum DotShape {
 }
 
 /// A patterned magnetic medium.
-#[derive(Debug, Clone)]
+///
+/// Equality compares the physical state: geometry, film, shape, every
+/// dot and every reconstruction scar.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Medium {
     geometry: Geometry,
     dots: DotArray,
@@ -110,12 +127,14 @@ impl Medium {
     }
 
     /// Ground-truth state of dot `index`.
+    #[inline]
     pub fn state(&self, index: u64) -> DotState {
         self.dots.state(index)
     }
 
     /// Magnetic write `mwb`. No effect on heated dots; returns whether the
     /// write took.
+    #[inline]
     pub fn write_mag(&mut self, index: u64, bit: bool) -> bool {
         self.dots.write_mag(index, bit)
     }
@@ -137,6 +156,7 @@ impl Medium {
     ///
     /// Returns whether the dot was newly heated. Thermal side effects on
     /// neighbours are modelled by [`crate::thermal`], which calls this.
+    #[inline]
     pub fn heat(&mut self, index: u64) -> bool {
         self.dots.heat(index)
     }
@@ -144,6 +164,7 @@ impl Medium {
     /// True when dot `index` has been heated. This is the *physical*
     /// inspection the `erb` protocol approximates through magnetic
     /// operations.
+    #[inline]
     pub fn is_heated(&self, index: u64) -> bool {
         self.dots.is_heated(index)
     }
@@ -165,7 +186,22 @@ impl Medium {
     /// Heated-dot indices in `range` — the forensic scan primitive used by
     /// fsck-style recovery (§5.2) and the Figure 3 layout dump.
     pub fn heated_in(&self, range: core::ops::Range<u64>) -> Vec<u64> {
-        range.filter(|&i| self.dots.is_heated(i)).collect()
+        self.dots.heated_in(range)
+    }
+
+    /// Ground-truth bulk read of a run of dots, a word at a time: see
+    /// [`DotArray::read_run`]. Returns whether any dot of the run is
+    /// heated. The probe's sector reads sense through this on an exact
+    /// read channel ([`crate::mfm::ReadChannel::decisions_are_exact`]).
+    pub fn read_run(&self, start: u64, len: usize, mag: &mut [u64], heated: &mut [u64]) -> bool {
+        self.dots.read_run(start, len, mag, heated)
+    }
+
+    /// Bulk magnetic write `mwb` of a run of dots: see
+    /// [`DotArray::write_mag_run`]. Heated dots refuse their bit; returns
+    /// how many refused.
+    pub fn write_mag_run(&mut self, start: u64, len: usize, bits: &[u64]) -> u64 {
+        self.dots.write_mag_run(start, len, bits)
     }
 
     /// The §8 nation-state adversary: a focused-ion-beam rebuild of dot

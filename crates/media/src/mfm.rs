@@ -14,6 +14,21 @@
 //! data areas surface as *erasures* for the Reed–Solomon decoder ("an
 //! electrically written bit in the data … appears as a read error", §5.1).
 //!
+//! # Exact channels
+//!
+//! The noise is bounded: the Box–Muller sampler clamps its first uniform
+//! at 1e-12 and |cos| ≤ 1, so no sample exceeds
+//! σ·√(−2 ln 1e-12) ≈ 7.4338σ ([`NOISE_BOUND_SIGMAS`] rounds it up). When
+//! `amplitude − 7.434σ ≥ threshold` and `leakage + 7.434σ < threshold`,
+//! every decision is fixed by the dot's state alone: intact dots always
+//! read their bit and heated dots always read [`Detection::Weak`]
+//! ([`ReadChannel::decisions_are_exact`]; the default σ = 0.05 channel
+//! qualifies). Only the number of RNG words [`ReadChannel::detect`] draws
+//! then matters to later reads ([`ReadChannel::detect_draws`]): 2 per
+//! intact dot and 4 per heated dot when σ > 0, or 0 and 2 when σ = 0.
+//! The probe's sector reads use this to sense a run of dots a word at a
+//! time while keeping the RNG stream of the per-dot path.
+//!
 //! # Examples
 //!
 //! ```
@@ -57,6 +72,10 @@ impl Detection {
         }
     }
 }
+
+/// Bound on one noise sample in units of σ: √(−2 ln 1e-12) = 7.43384…,
+/// rounded up so float rounding in the signal sum stays inside it.
+pub const NOISE_BOUND_SIGMAS: f64 = 7.434;
 
 /// An MFM cantilever read channel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,6 +124,23 @@ impl ReadChannel {
     /// Peak signal-to-noise ratio in dB.
     pub fn snr_db(&self) -> f64 {
         20.0 * (self.amplitude / self.noise_rms.max(1e-12)).log10()
+    }
+
+    /// True when noise can never change a decision: an intact dot always
+    /// reads its bit and a heated dot always reads [`Detection::Weak`],
+    /// because `amplitude − bσ ≥ threshold` and
+    /// `heated_leakage + bσ < threshold` with b = [`NOISE_BOUND_SIGMAS`].
+    pub fn decisions_are_exact(&self) -> bool {
+        let reach = NOISE_BOUND_SIGMAS * self.noise_rms;
+        self.amplitude - reach >= self.threshold && self.heated_leakage + reach < self.threshold
+    }
+
+    /// RNG words one [`ReadChannel::detect`] call draws for an intact or a
+    /// heated dot: the two Box–Muller uniforms when σ > 0, plus the sign
+    /// and the leakage draw of a heated dot.
+    pub fn detect_draws(&self, heated: bool) -> u64 {
+        let noise = if self.noise_rms == 0.0 { 0 } else { 2 };
+        noise + if heated { 2 } else { 0 }
     }
 
     /// The raw cantilever signal for dot `index`.
@@ -298,6 +334,39 @@ mod tests {
             }
         }
         assert_eq!(wrong, 0, "direct sensing should be clean at 26 dB");
+    }
+
+    #[test]
+    fn exactness_marks_the_noise_floor() {
+        assert!(ReadChannel::default().decisions_are_exact());
+        assert!(ReadChannel::new(1.0, 0.0, 0.08, 0.5).decisions_are_exact());
+        for sigma in [0.2, 0.45] {
+            assert!(!ReadChannel::new(1.0, sigma, 0.08, 0.5).decisions_are_exact());
+        }
+        // Leakage alone at the threshold can read as a peak.
+        assert!(!ReadChannel::new(1.0, 0.0, 0.5, 0.5).decisions_are_exact());
+    }
+
+    #[test]
+    fn detect_draws_match_the_stream() {
+        use rand::RngCore;
+        let mut m = medium();
+        m.write_mag(0, true);
+        m.heat(1);
+        for ch in [
+            ReadChannel::default(),
+            ReadChannel::new(1.0, 0.0, 0.08, 0.5),
+        ] {
+            for (dot, heated) in [(0u64, false), (1, true)] {
+                let mut oracle = StdRng::seed_from_u64(5);
+                let mut skipped = oracle.clone();
+                ch.detect(&m, dot, &mut oracle);
+                for _ in 0..ch.detect_draws(heated) {
+                    skipped.next_u64();
+                }
+                assert_eq!(oracle.next_u64(), skipped.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -35,8 +35,9 @@ use crate::actuator::Actuator;
 use crate::faults::{FaultPlan, FaultState, FaultStats};
 use crate::sector::{
     DecodedSector, SectorCodec, SectorError, DATA_AREA_DOTS, DATA_AREA_FIRST_DOT, ELECTRICAL_CELLS,
-    SECTOR_DATA_BYTES, SECTOR_DOTS, SECTOR_TOTAL_BYTES,
+    SECTOR_DATA_BYTES, SECTOR_DOTS,
 };
+use crate::sense::{bytes_to_words, SECTOR_WORDS};
 use crate::timing::{CostModel, OpCounters, SimClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -404,7 +405,7 @@ impl ProbeDevice {
 
     /// Hard-decision read: weak signals force a coin flip, reproducing
     /// Figure 2's "more or less random result" for heated dots.
-    fn read_bit_raw(&mut self, dot: u64) -> (bool, bool) {
+    pub(crate) fn read_bit_raw(&mut self, dot: u64) -> (bool, bool) {
         match self.detect_raw(dot) {
             Detection::One => (true, false),
             Detection::Zero => (false, false),
@@ -412,7 +413,7 @@ impl ProbeDevice {
         }
     }
 
-    fn erb_raw(&mut self, dot: u64) -> DotProbe {
+    pub(crate) fn erb_raw(&mut self, dot: u64) -> DotProbe {
         // §3's atomic five-step sequence. Any weak signal or failed
         // verification marks the dot heated; the double inversion restores
         // the original data on intact dots.
@@ -530,27 +531,21 @@ impl ProbeDevice {
     /// Reads and decodes the sector under the current sled position,
     /// advancing the clock and counters but paying no seek. Extent reads
     /// stream over this after a single head-of-range seek.
+    /// On an exact channel it senses the sector a word at a time (see
+    /// [`crate::sense`]).
     pub(crate) fn read_sector_here(&mut self, pba: u64) -> Result<DecodedSector, SectorError> {
-        let first = self.block_first_dot(pba);
+        let exact = self.channel.decisions_are_exact();
+        self.read_sector_sensing(pba, exact)
+    }
 
-        let mut raw = vec![0u8; SECTOR_TOTAL_BYTES];
-        let mut erased = Vec::new();
-        for (byte_idx, slot) in raw.iter_mut().enumerate() {
-            let mut byte = 0u8;
-            let mut weak = false;
-            for bit in 0..8 {
-                let (b, w) = self.read_bit_raw(first + (byte_idx * 8 + bit) as u64);
-                if b {
-                    byte |= 1 << (7 - bit);
-                }
-                weak |= w;
-            }
-            *slot = byte;
-            if weak {
-                erased.push(byte_idx);
-            }
-        }
-
+    /// [`ProbeDevice::read_sector_here`] on the word path when `exact`, per
+    /// dot otherwise.
+    pub(crate) fn read_sector_sensing(
+        &mut self,
+        pba: u64,
+        exact: bool,
+    ) -> Result<DecodedSector, SectorError> {
+        let sensed = self.sense_sector(self.block_first_dot(pba), exact);
         let ns = self.parallel_cost(SECTOR_DOTS as u64, self.cost.mrb_ns);
         self.clock.advance(ns);
         self.counters.mrb += SECTOR_DOTS as u64;
@@ -561,7 +556,7 @@ impl ProbeDevice {
         if let Some(err) = self.faults.as_mut().and_then(|f| f.on_read(pba)) {
             return Err(err);
         }
-        self.codec.decode(pba, &raw, &erased)
+        self.codec.decode(pba, &sensed.raw, sensed.erased())
     }
 
     /// Magnetic write sector (`mws`) with flags 0.
@@ -605,20 +600,10 @@ impl ProbeDevice {
         data: &[u8; SECTOR_DATA_BYTES],
     ) -> WriteReport {
         let raw = self.codec.encode_with_flags(pba, flags, data);
+        let mut words = [0u64; SECTOR_WORDS];
+        bytes_to_words(&raw, &mut words);
         let first = self.block_first_dot(pba);
-
-        let mut unwritable = 0usize;
-        for (byte_idx, &byte) in raw.iter().enumerate() {
-            for bit in 0..8 {
-                let value = (byte >> (7 - bit)) & 1 == 1;
-                if !self
-                    .medium
-                    .write_mag(first + (byte_idx * 8 + bit) as u64, value)
-                {
-                    unwritable += 1;
-                }
-            }
-        }
+        let unwritable = self.medium.write_mag_run(first, SECTOR_DOTS, &words) as usize;
 
         let ns = self.parallel_cost(SECTOR_DOTS as u64, self.cost.t_mwb_ns);
         self.clock.advance(ns);
@@ -760,8 +745,16 @@ impl ProbeDevice {
     /// Probes the first `cells` Manchester cells of the block under the
     /// current sled position, advancing the clock and counters but paying
     /// no seek. Batched electrical scans stream over this after a single
-    /// head-of-range seek.
+    /// head-of-range seek. On an exact channel it probes a word at a time
+    /// (see [`crate::sense`]).
     pub(crate) fn ers_cells_here(&mut self, pba: u64, cells: usize) -> Scan {
+        let exact = self.channel.decisions_are_exact();
+        self.ers_cells_sensing(pba, cells, exact)
+    }
+
+    /// [`ProbeDevice::ers_cells_here`] on the word path when `exact`, per
+    /// dot otherwise.
+    pub(crate) fn ers_cells_sensing(&mut self, pba: u64, cells: usize, exact: bool) -> Scan {
         assert!(
             cells <= ELECTRICAL_CELLS,
             "at most {ELECTRICAL_CELLS} cells per block"
@@ -769,11 +762,8 @@ impl ProbeDevice {
         let base = self.block_first_dot(pba) + DATA_AREA_FIRST_DOT as u64;
         let dots = cells * 2;
 
-        let mut heat_flags = Vec::with_capacity(dots);
-        for offset in 0..dots {
-            let probe = self.erb_raw(base + offset as u64);
-            heat_flags.push(probe.is_heated());
-        }
+        let mut heat_flags = [false; DATA_AREA_DOTS];
+        self.sense_heat_flags(base, &mut heat_flags[..dots], exact);
 
         let ns = self.parallel_cost(dots as u64, self.cost.erb_ns());
         self.clock.advance(ns);
@@ -781,7 +771,7 @@ impl ProbeDevice {
         self.counters.mrb += 3 * dots as u64;
         self.counters.mwb += 2 * dots as u64;
         self.counters.ers += 1;
-        manchester::decode(&heat_flags)
+        manchester::decode(&heat_flags[..dots])
     }
 }
 

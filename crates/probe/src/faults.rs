@@ -1,12 +1,17 @@
 //! Deterministic, seeded fault injection at the probe-device choke
 //! points.
 //!
-//! Every sector transfer on a [`crate::device::ProbeDevice`] — single ops
-//! and the extent/escan batch sweeps alike — funnels through three
-//! `pub(crate)` primitives: `read_sector_here`, `write_sector_here`, and
-//! `seek_block`. A [`FaultPlan`] armed on the device
-//! ([`crate::device::ProbeDevice::arm_faults`]) injects faults at exactly
-//! those choke points, so the device, file-system, and server layers
+//! Every magnetic sector transfer on a [`crate::device::ProbeDevice`] —
+//! single ops and the extent batch sweeps alike — funnels through two
+//! `pub(crate)` sector primitives, `read_sector_here` (`mrs`) and
+//! `write_sector_here` (`mws`), and every sled move through `seek_block`.
+//! The electrical primitives `ers_cells_here` and `ews_here`, which the
+//! escan sweeps stream over, meet faults only at `seek_block`: what they
+//! find is data in a `Scan`, never an error. A [`FaultPlan`] armed on the
+//! device ([`crate::device::ProbeDevice::arm_faults`]) injects faults at
+//! exactly those choke points, after the physical transfer whichever
+//! sensing path (per dot, or a word at a time on an exact channel) it
+//! took, so the device, file-system, and server layers
 //! above are exercised *untouched by construction*: they see the same
 //! typed [`SectorError`]s and degraded [`crate::device::WriteReport`]s real hardware
 //! would produce, never a special test path.

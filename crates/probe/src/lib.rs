@@ -21,6 +21,9 @@
 //!   without settling, and the `ers_sieve_blocks_with` prefix sieve
 //!   registry scans run on — one sweep per extent, candidates escalated
 //!   to a full scan in place.
+//! * `sense` — how the sector primitives sense a run of dots: per dot
+//!   through the read channel, or a word at a time on a channel whose
+//!   decisions noise cannot change, with the same RNG stream.
 //! * [`faults`] — deterministic, seeded fault injection at the sector
 //!   choke points: transient/persistent read and write faults, sled
 //!   stalls, and bit rot, armed via `ProbeDevice::arm_faults`.
@@ -48,6 +51,7 @@ pub mod escan;
 pub mod extent;
 pub mod faults;
 pub mod sector;
+mod sense;
 pub mod timing;
 
 pub use device::{DotProbe, EwsReport, ProbeDevice, ProbeDeviceBuilder, WriteReport};

@@ -252,39 +252,45 @@ impl SectorCodec {
         erased_bytes: &[usize],
     ) -> Result<DecodedSector, SectorError> {
         assert_eq!(raw.len(), SECTOR_TOTAL_BYTES, "raw sector has fixed size");
-        let lane_len = SECTOR_PROTECTED_BYTES / INTERLEAVE;
+        const LANE_LEN: usize = SECTOR_PROTECTED_BYTES / INTERLEAVE;
 
-        let mut protected = vec![0u8; SECTOR_PROTECTED_BYTES];
+        let mut protected = [0u8; SECTOR_PROTECTED_BYTES];
         let mut corrected = 0usize;
         for lane in 0..INTERLEAVE {
-            let mut codeword: Vec<u8> = (0..lane_len).map(|i| raw[i * INTERLEAVE + lane]).collect();
+            let mut codeword = [0u8; LANE_LEN + RS_PARITY];
+            for (i, symbol) in codeword[..LANE_LEN].iter_mut().enumerate() {
+                *symbol = raw[i * INTERLEAVE + lane];
+            }
             let base = SECTOR_PROTECTED_BYTES + lane * RS_PARITY;
-            codeword.extend_from_slice(&raw[base..base + RS_PARITY]);
+            codeword[LANE_LEN..].copy_from_slice(&raw[base..base + RS_PARITY]);
 
             // Map global byte erasures into this lane's codeword indices.
-            let mut lane_erasures = Vec::new();
+            // One more than the code can fill is enough: past RS_PARITY the
+            // lane is uncorrectable whatever the rest are.
+            let mut lane_erasures = [0usize; RS_PARITY + 1];
+            let mut erasures = 0;
             for &e in erased_bytes {
-                if e < SECTOR_PROTECTED_BYTES {
-                    if e % INTERLEAVE == lane {
-                        lane_erasures.push(e / INTERLEAVE);
-                    }
+                let index = if e < SECTOR_PROTECTED_BYTES {
+                    (e % INTERLEAVE == lane).then_some(e / INTERLEAVE)
                 } else {
                     let p = e - SECTOR_PROTECTED_BYTES;
-                    if p / RS_PARITY == lane {
-                        lane_erasures.push(lane_len + (p % RS_PARITY));
-                    }
+                    (p / RS_PARITY == lane).then_some(LANE_LEN + (p % RS_PARITY))
+                };
+                if let Some(index) = index.filter(|_| erasures <= RS_PARITY) {
+                    lane_erasures[erasures] = index;
+                    erasures += 1;
                 }
             }
 
             let report = self
                 .rs
-                .decode(&mut codeword, &lane_erasures)
+                .decode(&mut codeword, &lane_erasures[..erasures])
                 .map_err(|source| SectorError::Uncorrectable {
                     codeword: lane,
                     source,
                 })?;
             corrected += report.total();
-            for (i, &b) in codeword[..lane_len].iter().enumerate() {
+            for (i, &b) in codeword[..LANE_LEN].iter().enumerate() {
                 protected[i * INTERLEAVE + lane] = b;
             }
         }

@@ -124,6 +124,57 @@ proptest! {
         prop_assert_eq!(dev.read_block(0).unwrap(), pattern(0, salt), "nothing written");
     }
 
+    /// A refused request touches nothing: for every refusal (an address
+    /// past the end, a write into a heated line, a magnetic touch of a
+    /// hash block, a heat overlapping or past the end) the medium and the
+    /// clock are exactly as before, whatever the rest of the batch named.
+    #[test]
+    fn refused_requests_touch_nothing(
+        kind in 0u8..6,
+        picks in proptest::collection::vec(0u64..64, 0..6),
+        at in any::<usize>(),
+        beyond in 64u64..200,
+        salt in any::<u8>(),
+    ) {
+        const BLOCKS: u64 = 64;
+        let mut dev = SeroDevice::with_blocks(BLOCKS);
+        for pba in 0..BLOCKS {
+            dev.write_block(pba, &pattern(pba, salt)).unwrap();
+        }
+        let line = Line::new(16, 2).unwrap();
+        dev.heat_line(line, vec![], 0).unwrap();
+        // In-range addresses outside the heated line, for the rest of the
+        // batch, and the one address that gets the batch refused.
+        let inside = line.start()..line.end();
+        let mut pbas: Vec<u64> = picks
+            .iter()
+            .map(|&p| if inside.contains(&p) { p + 8 } else { p })
+            .collect();
+        let culprit = match kind {
+            0..=2 => beyond,
+            3 => line.start() + 1,
+            _ => line.hash_block(),
+        };
+        pbas.insert(at % (pbas.len() + 1), culprit);
+        let medium = dev.probe().medium().clone();
+        let clock = dev.probe().clock();
+        let refused = match kind {
+            0 | 3 => dev.write_blocks(&pbas, &vec![pattern(0, !salt); pbas.len()]).is_err(),
+            1 | 4 => dev.read_blocks(&pbas).is_err(),
+            2 => dev.read_blocks_sweep(&pbas).is_err(),
+            _ => {
+                let overlapping = Line::new(16, 3).unwrap();
+                let past_end = Line::new(BLOCKS, 1 + (at % 3) as u32).unwrap();
+                dev.heat_line(overlapping, vec![], 1).is_err()
+                    && dev.heat_line(past_end, vec![], 1).is_err()
+                    && dev.read_blocks_sweep(&pbas).is_err()
+            }
+        };
+        prop_assert!(refused, "kind {} batch {:?} was not refused", kind, pbas);
+        prop_assert!(dev.probe().medium() == &medium, "kind {} changed the medium", kind);
+        prop_assert_eq!(dev.probe().clock(), clock, "kind {} advanced the clock", kind);
+    }
+
     /// The parallel scrub reports the same per-line outcome — the same
     /// evidence — as the serial verify_line loop, for any mix of intact,
     /// magnetically rewritten, and hash-vandalised lines.
